@@ -16,6 +16,7 @@ step, not only at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .complexes import PathComplex, Path, face, is_regular
 from .cyclotomic import Scalar, q_factorial, zeta_power
@@ -102,13 +103,55 @@ class BoundaryMatrix:
         return Matrix(len(self.row_paths) - self.allowed_rows, len(self.col_paths),
                       self.order, entries)
 
-    def allowed_block(self) -> Matrix:
-        entries = {(r, c): v for (r, c), v in self.entries.items() if r < self.allowed_rows}
-        return Matrix(self.allowed_rows, len(self.col_paths), self.order, entries)
+    def columns(self) -> list[list[tuple[int, Scalar]]]:
+        """(row, entry) pairs of each column, in column order."""
+        out: list[list[tuple[int, Scalar]]] = [[] for _ in self.col_paths]
+        for (r, c), v in self.entries.items():
+            out[c].append((r, v))
+        return out
+
+
+def _group_ring_power(p: Path, q: int, N: int) -> dict[Path, list[int]]:
+    """q-th regular boundary power of one path over Z[x]/(x^N - 1).
+
+    A coefficient is the integer vector of its exponents 0..N-1, and
+    deleting face j multiplies by x^j, which rotates the vector by j.
+    Only the face that closes the gap at j can repeat a vertex, so a
+    face of a regular path is irregular exactly when its two new
+    neighbours coincide.
+    """
+    unit = [0] * N
+    unit[0] = 1
+    chain = {p: unit}
+    for _ in range(q):
+        out: dict[Path, list[int]] = {}
+        for pp, vec in chain.items():
+            last = len(pp) - 1
+            if last < 1:
+                continue
+            for j in range(last + 1):
+                if 0 < j < last and pp[j - 1] == pp[j + 1]:
+                    continue
+                f = pp[:j] + pp[j + 1:]
+                acc = out.get(f)
+                if acc is None:
+                    acc = out[f] = [0] * N
+                for k, c in enumerate(vec):
+                    if c:
+                        acc[(k + j) % N] += c
+        chain = out
+    return chain
 
 
 def boundary_power_matrix(P: PathComplex, n: int, q: int, N: int) -> BoundaryMatrix:
-    """Assemble the matrix of the q-th power of the regular boundary."""
+    """Assemble the matrix of the q-th power of the regular boundary.
+
+    Each column's power is summed over the integer group ring (see
+    ``_group_ring_power``) and only the entries left at the end are
+    mapped into Q(zeta_N), through x^k -> zeta^k (integer vectors, as
+    Phi_N is monic), once per distinct integer vector.  Columns are built one at a time, so only the
+    finished entries stay alive.
+    """
     if q < 1:
         raise ValueError("power must be >= 1")
     key = ("bpm", n, q, N)
@@ -117,29 +160,49 @@ def boundary_power_matrix(P: PathComplex, n: int, q: int, N: int) -> BoundaryMat
         return cached
 
     cols = P.paths(n)
-    one = Scalar.one(N)
-    col_chains: list[Chain] = []
-    for p in cols:
-        col_chains.append(apply_regular_power({p: one}, q, N))
-
     if n - q < 0:
         result = BoundaryMatrix(n, q, N, cols, (), 0, {})
         P._memo[key] = result
         return result
 
+    powers = [tuple(int(c) for c in zeta_power(N, k).coeffs) for k in range(N)]
+    phi = len(powers[0])
+    scalars: dict[tuple[int, ...], Scalar | None] = {}
+
+    def to_scalar(vec: list[int]) -> Scalar | None:
+        """The entry in Q(zeta_N), or None where it vanishes there."""
+        key = tuple(vec)
+        if key not in scalars:
+            coeffs = [0] * phi
+            for k, c in enumerate(vec):
+                if c:
+                    for i, t in enumerate(powers[k]):
+                        if t:
+                            coeffs[i] += c * t
+            scalars[key] = (Scalar(N, tuple(Fraction(c) for c in coeffs))
+                            if any(coeffs) else None)
+        return scalars[key]
+
     allowed = P.paths(n - q)
     allowed_index = {p: i for i, p in enumerate(allowed)}
-    extras = sorted({p for chain in col_chains for p in chain} - set(allowed))
-    row_paths = tuple(allowed) + tuple(extras)
-    row_index = dict(allowed_index)
-    for i, p in enumerate(extras):
-        row_index[p] = len(allowed) + i
-
     entries: dict[tuple[int, int], Scalar] = {}
-    for c, chain in enumerate(col_chains):
-        for p, v in chain.items():
-            entries[(row_index[p], c)] = v
-    result = BoundaryMatrix(n, q, N, cols, row_paths, len(allowed), entries)
+    escaped: list[tuple[Path, int, Scalar]] = []
+    for c, p in enumerate(cols):
+        for f, vec in _group_ring_power(p, q, N).items():
+            v = to_scalar(vec)
+            if v is None:
+                continue
+            r = allowed_index.get(f)
+            if r is None:
+                escaped.append((f, c, v))
+            else:
+                entries[(r, c)] = v
+
+    extras = sorted({f for f, _, _ in escaped})
+    extra_index = {p: len(allowed) + i for i, p in enumerate(extras)}
+    for f, c, v in escaped:
+        entries[(extra_index[f], c)] = v
+    result = BoundaryMatrix(n, q, N, cols, tuple(allowed) + tuple(extras), len(allowed), entries)
     P._memo[key] = result
     return result
 

@@ -18,7 +18,7 @@ from .complexes import (
 )
 from .cycles import fundamental_cycles, is_admissible, orientation_profile, z1_generators
 from .homology import ImageEscapesAllowed, betti_table, poincare_identity_check
-from .linalg import NotASubspace
+from .linalg import InvariantViolation, NotASubspace
 from .omega import omega_full, omega_nilpotency, omega_nq, verify_chain_closure
 from .boundary import verify_nilpotency
 from .report import run_compat_report
@@ -36,17 +36,25 @@ def _load_input(path: str, kind: str, max_dim: int) -> tuple[PathComplex, Digrap
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         if path.endswith(".json"):
-            data = json.loads(text)
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{path}: malformed JSON: {exc}") from exc
+            if not isinstance(data, dict):
+                raise InputError("JSON input must be an object with an 'edges' or 'simplices' key")
             if "edges" in data and kind != "simplicial":
                 g = digraph_from_json(data)
                 return path_complex_from_digraph(g, max_dim), g
             if "simplices" in data:
-                simplices = [tuple(str(v) for v in s) for s in data["simplices"]]
-                return path_complex_from_simplicial(simplices), None
+                simplices = data["simplices"]
+                if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
+                    raise InputError("'simplices' must be a JSON list of vertex lists")
+                return path_complex_from_simplicial(
+                    [tuple(str(v) for v in s) for s in simplices]), None
             raise InputError("JSON input needs an 'edges' or 'simplices' key")
         if kind == "digraph":
             g = parse_digraph(text)
@@ -71,9 +79,14 @@ def _json_dumps(data) -> str:
 def _check_config(args) -> None:
     if args.N < 2:
         raise InputError("N must be >= 2")
-    q = getattr(args, "q", "all")
-    if q != "all":
-        if not 1 <= int(q) <= args.N - 1:
+    if args.max_dim < 0:
+        raise InputError("max-dim must be >= 0")
+    if args.q != "all":
+        try:
+            level = int(args.q)
+        except ValueError:
+            raise InputError(f"q must be an integer or 'all', not {args.q!r}") from None
+        if not 1 <= level <= args.N - 1:
             raise InputError(f"q must be between 1 and N-1={args.N - 1}")
 
 
@@ -321,7 +334,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotASubspace, SpanMismatch, ImageEscapesAllowed, AssertionError) as exc:
+    except (NotASubspace, SpanMismatch, ImageEscapesAllowed, InvariantViolation) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

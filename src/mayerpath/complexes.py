@@ -119,6 +119,10 @@ def parse_digraph(text: str) -> Digraph:
 
 
 def digraph_from_json(data: dict) -> Digraph:
+    """Digraph from ``{"vertices": [...], "edges": [[u, v], ...]}``."""
+    vertices, edge_list = data.get("vertices", []), data["edges"]
+    if not isinstance(vertices, list) or not isinstance(edge_list, list):
+        raise ComplexError("'vertices' and 'edges' must be JSON lists")
     labels: list[str] = []
     index: dict[str, int] = {}
 
@@ -129,11 +133,14 @@ def digraph_from_json(data: dict) -> Digraph:
             labels.append(key)
         return index[key]
 
-    for v in data.get("vertices", []):
+    for v in vertices:
         intern(v)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for i, (u, v) in enumerate(data["edges"], start=1):
+    for i, pair in enumerate(edge_list, start=1):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ComplexError(f"edge {i}: expected a [source, target] pair, got {pair!r}")
+        u, v = pair
         if str(u) == str(v):
             raise SelfLoop(i, str(u))
         e = (intern(u), intern(v))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .boundary import boundary_power_matrix
 from .complexes import Digraph, PathComplex
 from .cyclotomic import Scalar, zeta_power
-from .linalg import Matrix, Subspace, nullspace
+from .linalg import InvariantViolation, Matrix, Subspace, nullspace
 
 Edge = tuple[int, int]
 WeightedChain = dict[Edge, Scalar]
@@ -134,8 +134,8 @@ def admissible_weights(c: UndirectedCycle, N: int) -> WeightedChain:
         else:
             chain.pop(s.edge, None)
     n_vertices = max(max(e) for e in chain) + 1
-    assert not any(_chain_boundary_residual(chain, n_vertices, N)), \
-        "admissible cycle weights failed to close"
+    if any(_chain_boundary_residual(chain, n_vertices, N)):
+        raise InvariantViolation("admissible cycle weights failed to close")
     return chain
 
 
@@ -269,8 +269,8 @@ def merge_element(I: UndirectedCycle, J: UndirectedCycle, N: int) -> WeightedCha
     if not chain:
         raise NotApplicable("merge collapsed to the zero chain")
     n_vertices = max(max(s.edge) for p in paths for s in p) + 1
-    assert not any(_chain_boundary_residual(chain, n_vertices, N)), \
-        "merge element failed to close"
+    if any(_chain_boundary_residual(chain, n_vertices, N)):
+        raise InvariantViolation("merge element failed to close")
     return chain
 
 
@@ -362,15 +362,17 @@ def fundamental_cycles(g: Digraph) -> list[UndirectedCycle]:
             continue
         u, v = e
         path = _tree_path(parent, v, u)  # v -> ... -> u through the tree
-        assert path is not None, "non-tree edge must connect one component"
+        if path is None:
+            raise InvariantViolation("non-tree edge must connect one component")
         if len(path) == 1:
-            raise AssertionError("self-loops are excluded upstream")
+            raise InvariantViolation("self-loops are excluded upstream")
         steps = [Step(u, v, e, True)]
         for a, b in zip(path, path[1:]):
             if (a, b) in tree:
                 steps.append(Step(a, b, (a, b), True))
             else:
-                assert (b, a) in tree, "tree path stepped off the forest"
+                if (b, a) not in tree:
+                    raise InvariantViolation("tree path stepped off the forest")
                 steps.append(Step(a, b, (b, a), False))
         cycles.append(UndirectedCycle(tuple(steps)))
     return cycles
@@ -438,7 +440,8 @@ def z1_generators(g: Digraph, N: int) -> Z1Result:
 
     vectors = [to_vector(gen.chain) for gen in generators]
     for vec in vectors:
-        assert kernel.contains(vec), "generator is not a kernel element"
+        if not kernel.contains(vec):
+            raise InvariantViolation("generator is not a kernel element")
     span = Subspace.from_spanning(vectors, len(edge_basis), N)
     shortfall = kernel.dim - span.dim
     if shortfall:
@@ -453,7 +456,8 @@ def z1_generators(g: Digraph, N: int) -> Z1Result:
 
     components = _count_components(g)
     bound = len(g.edges) - g.n + components
-    assert kernel.dim <= bound, "kernel exceeded the circuit-rank bound"
+    if kernel.dim > bound:
+        raise InvariantViolation("kernel exceeded the circuit-rank bound")
     return Z1Result(generators, cycles, flags, kernel.dim, shortfall)
 
 

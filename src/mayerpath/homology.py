@@ -1,22 +1,24 @@
-"""Cycle/boundary spaces, Betti tables and the independent dense oracle.
+"""Betti numbers from ranks, cycle/boundary spaces and the independent dense oracle.
 
 For the N-chain complex of invariant paths, the level-(N,q) homology in
 dimension n is ker(d^q) / im(d^(N-q)), with the kernel taken literally
 (the boundary is zero below dimension 0) and the image taken from the
-intersection complex Omega^N.  Containment of boundaries in cycles is
-asserted, not assumed: on inputs where the weighted boundary fails to be
+intersection complex Omega^N.  A Betti number needs ranks only, so
+``betti`` forms no subspace.  Containment of boundaries in cycles is
+checked, not assumed: on inputs where the weighted boundary fails to be
 N-nilpotent (double edges at N >= 3) the computation stops with a hard
-error instead of reporting meaningless dimensions.
+error instead of reporting meaningless dimensions.  ``cycle_space`` and
+``boundary_space`` build the two subspaces themselves, as diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .boundary import apply_regular_power, boundary_power_matrix
+from .boundary import BoundaryMatrix, apply_regular_power, boundary_power_matrix
 from .complexes import PathComplex
 from .cyclotomic import Scalar, zeta_power
-from .linalg import Subspace, intersect, nullspace, quotient_dim
+from .linalg import NotASubspace, Row, Subspace, intersect, nullspace, rank
 from .omega import omega_full
 
 
@@ -61,8 +63,94 @@ def boundary_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
     return Subspace.from_spanning(vectors, len(target_paths), N)
 
 
+def _apply(columns: list[list[tuple[int, Scalar]]], x, one: Scalar) -> Row:
+    """Sparse image of the vector with nonzero (column, coefficient) pairs x."""
+    out: Row = {}
+    for c, xc in x:
+        unit = xc == one
+        for r, v in columns[c]:
+            t = v if unit else xc * v
+            w = out.get(r)
+            if w is not None:
+                t = w + t
+                if not t:
+                    del out[r]
+                    continue
+            out[r] = t
+    return out
+
+
+def _images(bm: BoundaryMatrix, space: Subspace):
+    """Images under bm of the basis of space, one sparse row at a time."""
+    columns = bm.columns()
+    zero, one = Scalar.zero(bm.order), Scalar.one(bm.order)
+    for x in space.basis:
+        yield _apply(columns, ((c, xc) for c, xc in enumerate(x) if xc is not zero and xc),
+                     one)
+
+
+def _image_rank(P: PathComplex, m: int, r: int, N: int) -> int:
+    """rank(d^r | Omega_m^N)."""
+    key = ("image_rank", m, r, N)
+    cached = P._memo.get(key)
+    if cached is None:
+        cached = P._memo[key] = rank(
+            _images(boundary_power_matrix(P, m, r, N), omega_full(P, m, N).space))
+    return cached
+
+
+def _boundary_rank(P: PathComplex, n: int, q: int, N: int) -> int:
+    """dim B_n^{N,q} = rank(d^(N-q) | Omega_m^N), m = n+N-q.
+
+    The first time dimension m is reached with n >= q, this also checks
+    that d^N vanishes on the Omega_m basis, as d^q of the images the rank
+    is taken of.  For n < q, d^N x lies in dimension n - q < 0 and is 0.
+    """
+    m = n + N - q
+    checked = ("dN_vanishes", m, N)
+    if n < q or checked in P._memo:
+        return _image_rank(P, m, N - q, N)
+    dq = boundary_power_matrix(P, n, q, N).columns()
+    one = Scalar.one(N)
+
+    def checked_images():
+        for y in _images(boundary_power_matrix(P, m, N - q, N), omega_full(P, m, N).space):
+            if _apply(dq, y.items(), one):
+                raise NotASubspace(
+                    f"d^{N} does not vanish on Omega_{m}, so boundaries escape cycles; "
+                    f"the chain-complex invariant d^q d^(N-q) = 0 failed upstream"
+                )
+            yield y
+
+    result = P._memo[("image_rank", m, N - q, N)] = rank(checked_images())
+    P._memo[checked] = True
+    return result
+
+
 def betti(P: PathComplex, n: int, q: int, N: int) -> int:
-    return quotient_dim(cycle_space(P, n, q, N), boundary_space(P, n, q, N))
+    """beta_n^{N,q} = dim Omega_n - rank(d^q | Omega_n) - rank(d^(N-q) | Omega_m).
+
+    Here m = n + N - q and Omega = Omega^N.  Cycles are Z = Omega_n with
+    ker d^q, of dimension dim Omega_n - rank(d^q | Omega_n), and
+    boundaries are B = d^(N-q) Omega_m.  The difference is dim Z/B only
+    when B is inside Z, and that holds exactly when d^N = 0 on Omega_m:
+
+    * For x in Omega_m, d^r x is allowed for every r <= N - 1: for
+      r <= m - 1 because Omega_m lies in Omega_m^{N,r}, and for r >= m
+      because then d^r x lives in dimension <= 0, where every regular
+      path is allowed.
+    * Let y = d^(N-q) x.  Then d^r y = d^(N-q+r) x is allowed for
+      r <= q - 1, and d^q y = d^N x.  If d^N x = 0, then d^r y = 0 for
+      every r >= q too, so y lies in Omega_n and in ker d^q: B is in Z.
+    * Conversely, if B is in Z, then d^N x = d^q y = 0 for every x.
+
+    The check is made once per m (see ``_boundary_rank``); when it fails
+    the quotient is undefined and ``NotASubspace`` is raised.
+    """
+    if not 1 <= q <= N - 1:
+        raise ValueError("need 1 <= q <= N-1")
+    cycles = omega_full(P, n, N).space.dim - _image_rank(P, n, q, N)
+    return cycles - _boundary_rank(P, n, q, N)
 
 
 @dataclass
@@ -74,16 +162,6 @@ class BettiTable:
     entries: dict[tuple[int, int], int]
     omega_dims: dict[int, int]
     input_digest: str
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BettiTable)
-            and self.order == other.order
-            and self.max_dim == other.max_dim
-            and self.entries == other.entries
-            and self.omega_dims == other.omega_dims
-            and self.input_digest == other.input_digest
-        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(zeta_N): RREF, nullspaces, subspace lattice ops.
+"""Exact linear algebra over Q(zeta_N): RREF, ranks, nullspaces, subspace lattice ops.
 
 Matrices are sparse maps (row, col) -> Scalar; elimination is plain
 Gauss-Jordan with a fixed pivot rule (first row with a nonzero entry,
@@ -21,6 +21,14 @@ class AmbientMismatch(ValueError):
 
 class NotASubspace(ValueError):
     """Quotient requested by a space that is not contained in the numerator."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal invariant of the computation failed.
+
+    Raised explicitly rather than through ``assert`` so that the check
+    still runs under ``python -O``.
+    """
 
 
 class Matrix:
@@ -71,17 +79,15 @@ class Matrix:
         )
 
 
-def _row_sub_scaled(target: Row, source: Row, factor: Scalar) -> Row:
-    """target - factor * source, dropping exact zeros."""
-    out = dict(target)
+def _sub_scaled(target: Row, source: Row, factor: Scalar) -> None:
+    """target -= factor * source in place, dropping exact zeros."""
     for c, v in source.items():
-        w = out.get(c)
+        w = target.get(c)
         nv = (w - factor * v) if w is not None else -(factor * v)
         if nv:
-            out[c] = nv
+            target[c] = nv
         else:
-            out.pop(c, None)
-    return out
+            target.pop(c, None)
 
 
 def _reduce_rows(rows: list[Row], cols: int) -> tuple[list[Row], list[int]]:
@@ -107,10 +113,32 @@ def _reduce_rows(rows: list[Row], cols: int) -> tuple[list[Row], list[int]]:
         rows[r] = {k: v * inv for k, v in rows[r].items()}
         for i in range(len(rows)):
             if i != r and c in rows[i]:
-                rows[i] = _row_sub_scaled(rows[i], rows[r], rows[i][c])
+                _sub_scaled(rows[i], rows[r], rows[i][c])
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def rank(rows) -> int:
+    """Rank of an iterable of sparse rows, by forward elimination.
+
+    Rows are taken one at a time and reduced against the pivot rows kept
+    so far, each normalised to 1 at its leading column; a nonzero
+    residual becomes a new pivot row.  Only the pivot rows stay alive, so
+    the rows may come from a generator.  An input row is reduced in
+    place, so pass rows the caller no longer needs.
+    """
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = row[c].inverse()
+                pivots[c] = {k: v * inv for k, v in row.items()}
+                break
+            _sub_scaled(row, pivot, row[c])
+    return len(pivots)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
@@ -203,9 +231,9 @@ class Subspace:
 
 
 def nullspace(m: Matrix) -> Subspace:
-    """Canonical basis of {x : m x = 0}; dim = cols - rank (asserted)."""
-    reduced, rank, pivots = rref(m)
-    rows = reduced.row_dicts()[:rank]
+    """Canonical basis of {x : m x = 0}; dim = cols - rank (checked)."""
+    reduced, rk, pivots = rref(m)
+    rows = reduced.row_dicts()[:rk]
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     zero, one = Scalar.zero(m.order), Scalar.one(m.order)
@@ -219,7 +247,8 @@ def nullspace(m: Matrix) -> Subspace:
                 vec[p] = -coef
         vectors.append(tuple(vec))
     space = Subspace.from_spanning(vectors, m.cols, m.order)
-    assert space.dim + rank == m.cols, "rank-nullity violated"
+    if space.dim + rk != m.cols:
+        raise InvariantViolation("rank-nullity violated")
     return space
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .boundary import apply_regular_power, boundary_power_matrix
 from .complexes import PathComplex
 from .cyclotomic import Scalar
-from .linalg import Subspace, intersect, nullspace
+from .linalg import Matrix, Subspace, nullspace
 
 
 @dataclass
@@ -47,7 +47,12 @@ def omega_nq(P: PathComplex, n: int, q: int, N: int) -> OmegaSpace:
 
 
 def omega_full(P: PathComplex, n: int, N: int) -> OmegaSpace:
-    """Intersection of omega_nq over q = 1 .. min(N-1, n-1)."""
+    """Intersection of omega_nq over q = 1 .. min(N-1, n-1).
+
+    One nullspace of the stacked non-allowed row blocks of d^1 .. d^k,
+    k = min(N-1, n-1): a chain lies in every omega_nq exactly when it
+    satisfies all of their constraints at once.
+    """
     if N < 2:
         raise ValueError("need N >= 2")
     key = ("omega_full", n, N)
@@ -55,9 +60,12 @@ def omega_full(P: PathComplex, n: int, N: int) -> OmegaSpace:
     if cached is not None:
         return cached
     ambient = len(P.paths(n))
-    space = Subspace.full_space(ambient, N)
-    for q in range(1, min(N - 1, n - 1) + 1):
-        space = intersect(space, omega_nq(P, n, q, N).space)
+    rows = [row for q in range(1, min(N - 1, n - 1) + 1)
+            for row in boundary_power_matrix(P, n, q, N).nonallowed_block().row_dicts()]
+    if rows:
+        space = nullspace(Matrix.from_row_dicts(rows, ambient, N))
+    else:
+        space = Subspace.full_space(ambient, N)
     result = OmegaSpace(n, N, None, space)
     P._memo[key] = result
     return result

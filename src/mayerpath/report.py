@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .fixtures import load_fixture
 from .homology import betti_table, brute_force_oracle
+from .linalg import InvariantViolation
 
 
 @dataclass
@@ -117,7 +118,7 @@ def run_compat_report(max_dim: int = 3) -> CompatReport:
             main = betti_table(P, c.order, max_dim)
             check = brute_force_oracle(P, c.order, max_dim)
             if main != check:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"engines disagree on {c.fixture} at N={c.order}: "
                     f"{main.entries} vs {check.entries}"
                 )

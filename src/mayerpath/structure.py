@@ -16,7 +16,7 @@ from itertools import combinations
 from .boundary import boundary_power_matrix
 from .complexes import Path, PathComplex
 from .cyclotomic import Scalar, zeta_power
-from .linalg import Matrix, Subspace, intersect, nullspace
+from .linalg import InvariantViolation, Matrix, Subspace, intersect, nullspace
 from .omega import omega_full, omega_nq
 
 
@@ -325,7 +325,8 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
                 space = nullspace(Matrix.from_row_dicts(local_rows, size, N))
                 if space.dim == 0:
                     continue
-                assert space.dim == 1, "minimal support cannot carry dim > 1"
+                if space.dim != 1:
+                    raise InvariantViolation("minimal support cannot carry dim > 1")
                 vec = space.basis[0]
                 if not all(vec):
                     continue  # support is a proper subset; smaller circuit pending

@@ -1,7 +1,10 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import mayerpath
 from mayerpath.complexes import Digraph, path_complex_from_digraph
 from mayerpath.fixtures import load_digraph, load_fixture
 
@@ -19,6 +22,12 @@ def diamond_graph():
 @pytest.fixture(scope="session")
 def torus():
     return load_fixture("torus_minimal")
+
+
+def library_env() -> dict:
+    """Environment in which a child interpreter imports this same mayerpath."""
+    src = str(Path(mayerpath.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src}
 
 
 def random_digraph(rng: random.Random, n_min=3, n_max=6, p=0.35,

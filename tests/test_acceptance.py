@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import bounded_random_complex, random_digraph
+from conftest import bounded_random_complex, library_env, random_digraph
 from mayerpath.boundary import kapranov_expansion_check
 from mayerpath.complexes import path_complex_from_digraph
 from mayerpath.cycles import UndirectedCycle, is_admissible, z1_generators, z1_kernel_space
@@ -260,7 +260,8 @@ def test_criterion_10_cli_determinism(tmp_path):
         argv = [sys.executable, "-m", "mayerpath.cli", "betti",
                 "--input", str(path), "--kind", fixture_kind(name),
                 "--N", "3", "--format", "json"]
-        runs = [subprocess.run(argv, capture_output=True) for _ in range(2)]
+        runs = [subprocess.run(argv, capture_output=True, env=library_env())
+                for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode == 0, name
         assert runs[0].stdout == runs[1].stdout, name
         assert runs[0].stdout  # non-empty output

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import library_env
 from mayerpath.cli import main
 from mayerpath.fixtures import ALL_FIXTURES, fixture_kind, fixture_text
 
@@ -100,6 +101,56 @@ def test_invalid_q_exits_one(capsys, fixture_file):
     assert code == 1
 
 
+def test_non_integer_q_exits_one(capsys, fixture_file):
+    code, _, err = run_main(capsys, [
+        "betti", "--input", fixture_file("diamond"), "--N", "3", "--q", "abc"])
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_negative_max_dim_exits_one(capsys, fixture_file):
+    code, out, err = run_main(capsys, [
+        "betti", "--input", fixture_file("diamond"), "--N", "3", "--max-dim", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "max-dim" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"edges": [[1, 2]', "malformed JSON"),
+    ("5", "JSON input must be an object"),
+    ('{"edges": [[1]]}', "edge 1"),
+])
+def test_bad_json_input_exits_one(capsys, tmp_path, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, _, err = run_main(capsys, ["betti", "--input", str(path), "--N", "2"])
+    assert code == 1
+    assert err.startswith("error:") and message in err
+
+
+def test_invariant_violation_exits_two_under_optimize(fixture_file):
+    # a rank-nullity failure forced inside nullspace must still be caught
+    # when asserts are compiled away
+    script = (
+        "import sys\n"
+        "import mayerpath.linalg as linalg\n"
+        "from mayerpath.cli import main\n"
+        "assert False, 'asserts must be off'\n"
+        "real = linalg.rref\n"
+        "def short_rank(m):\n"
+        "    reduced, rank, pivots = real(m)\n"
+        "    return reduced, rank + 1, pivots\n"
+        "linalg.rref = short_rank\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "betti", "--input", fixture_file("diamond"),
+         "--N", "3"],
+        capture_output=True, text=True, env=library_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "invariant violation: rank-nullity violated" in proc.stderr
+
+
 def test_double_edge_invariant_violation_exits_two(capsys, tmp_path):
     path = tmp_path / "double.edges"
     path.write_text("1 2\n2 1\n")
@@ -174,7 +225,7 @@ def test_repeated_runs_are_byte_identical(capsys, fixture_file):
 def test_console_script_determinism_subprocess(fixture_file):
     argv = [sys.executable, "-m", "mayerpath.cli", "betti",
             "--input", fixture_file("diamond"), "--N", "3", "--format", "md"]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    first = subprocess.run(argv, capture_output=True, text=True, env=library_env())
+    second = subprocess.run(argv, capture_output=True, text=True, env=library_env())
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from mayerpath.boundary import apply_regular_power
-from mayerpath.complexes import parse_digraph, path_complex_from_digraph
+from mayerpath.complexes import Digraph, parse_digraph, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
-from mayerpath.fixtures import load_digraph, load_fixture
+from mayerpath.fixtures import ALL_FIXTURES, load_digraph, load_fixture
 from mayerpath.homology import (
     betti,
     betti_table,
@@ -140,6 +140,47 @@ def test_boundaries_inside_cycles_on_fixtures():
                     assert quotient_dim(z, b) >= 0
 
 
+def _betti_or_rejected(P, N, max_dim, engine):
+    try:
+        return engine(P, N, max_dim)
+    except NotASubspace:
+        return "rejected"
+
+
+def _quotient_table(P, N, max_dim):
+    """The Betti grid from cycle and boundary subspaces, as a reference."""
+    return {(n, q): quotient_dim(cycle_space(P, n, q, N), boundary_space(P, n, q, N))
+            for n in range(max_dim + 1) for q in range(1, N)}
+
+
+def _rank_table(P, N, max_dim):
+    return betti_table(P, N, max_dim).entries
+
+
+def test_rank_core_equals_subspace_quotient_on_fixtures():
+    for name in ALL_FIXTURES:
+        for N in (2, 3, 4, 5):
+            assert _rank_table(load_fixture(name), N, 3) == \
+                _quotient_table(load_fixture(name), N, 3), (name, N)
+
+
+def test_rank_core_equals_subspace_quotient_with_antiparallel_pairs():
+    # both engines must agree, or both must refuse the non-nilpotent complex
+    from conftest import bounded_random_complex
+
+    rng = random.Random(2024)
+    outcomes = []
+    for i in range(40):
+        N = 2 + i % 3
+        g, _ = bounded_random_complex(rng, N, 3, budget=250, allow_antiparallel=True)
+        rank_side = _betti_or_rejected(path_complex_from_digraph(g, 3), N, 3, _rank_table)
+        quotient_side = _betti_or_rejected(
+            path_complex_from_digraph(g, 3), N, 3, _quotient_table)
+        assert rank_side == quotient_side, (g, N)
+        outcomes.append(rank_side == "rejected")
+    assert any(outcomes) and not all(outcomes)
+
+
 def test_double_edge_homology_is_rejected_beyond_order_two():
     # with an antiparallel pair the weighted boundary is not nilpotent on
     # the invariant complex once dimension 3 enters, and the boundary
@@ -167,6 +208,25 @@ def test_isomorphism_invariance_on_fixtures():
             t = betti_table(path_complex_from_digraph(g2, 3), 3, 2)
             assert t.entries == base.entries, (name, perm)
             assert t.omega_dims == base.omega_dims
+
+
+def test_invariance_under_permuted_vertex_ids():
+    # Digraph.relabel keeps the interned ids, so the elimination order never
+    # changes there; here the ids themselves move, and with them the
+    # lexicographic path bases every matrix is built on
+    rng = random.Random(321)
+    for name in ("diamond", "loop4", "biparallel", "braid", "theta"):
+        g = load_digraph(name)
+        base = betti_table(path_complex_from_digraph(g, 3), 3, 2)
+        for _ in range(3):
+            ids = list(range(g.n))
+            rng.shuffle(ids)
+            labels = [""] * g.n
+            for old, new in enumerate(ids):
+                labels[new] = g.labels[old]
+            g2 = Digraph(tuple(labels), tuple((ids[u], ids[v]) for u, v in g.edges))
+            P2 = path_complex_from_digraph(g2, 3)
+            assert betti_table(P2, 3, 2) == base, (name, ids)
 
 
 def test_poincare_identity_diamond(diamond):

@@ -15,6 +15,7 @@ from mayerpath.linalg import (
     intersect,
     nullspace,
     quotient_dim,
+    rank,
     rref,
 )
 
@@ -97,9 +98,11 @@ def test_rank_equals_transpose_rank_random():
                         entries[(r, c)] = zeta_power(N, rng.randrange(N)) * \
                             Fraction(rng.randint(-3, 3))
             m = Matrix(rows, cols, N, entries)
-            _, rank, _ = rref(m)
+            _, rank_m, _ = rref(m)
             _, rank_t, _ = rref(m.transpose())
-            assert rank == rank_t
+            assert rank_m == rank_t
+            # forward elimination agrees, and consumes rows lazily
+            assert rank(iter(m.row_dicts())) == rank_m
 
 
 def _random_vectors(rng, N, ambient, count):
