@@ -10,17 +10,20 @@ variants matter:
 
 Powers of the regular operator are computed by iterating it through the
 full regular span, so intermediate irregular faces are dropped at every
-step, not only at the end.
+step, not only at the end.  ``BoundaryMatrix`` is the one way the library
+applies them; the free operator below exists only to check the paper's
+closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .complexes import PathComplex, Path, face, is_regular
+from .complexes import PathComplex, Path, face
 from .cyclotomic import Scalar, q_factorial, zeta_power
-from .linalg import Matrix
+from .linalg import Matrix, Row, Subspace
 
 Chain = dict[Path, Scalar]
 
@@ -32,45 +35,6 @@ def _add_term(chain: Chain, p: Path, coeff: Scalar) -> None:
         chain[p] = new
     else:
         chain.pop(p, None)
-
-
-def render_chain(P: PathComplex, chain: Chain) -> str:
-    """Debug rendering like ``(1)*e_{1,2,3} + (-z)*e_{1,3,4}``."""
-    if not chain:
-        return "0"
-    return " + ".join(
-        f"({chain[p].render()})*{P.path_label(p)}" for p in sorted(chain)
-    )
-
-
-def boundary_chain(p: Path, N: int) -> Chain:
-    """Regular boundary of one elementary path; zero chain for vertices."""
-    out: Chain = {}
-    if len(p) <= 1:
-        return out
-    for j in range(len(p)):
-        f = face(p, j)
-        if is_regular(f):
-            _add_term(out, f, zeta_power(N, j))
-    return out
-
-
-def apply_regular_boundary(chain: Chain, N: int) -> Chain:
-    out: Chain = {}
-    for p, c in chain.items():
-        if len(p) <= 1:
-            continue
-        for j in range(len(p)):
-            f = face(p, j)
-            if is_regular(f):
-                _add_term(out, f, c * zeta_power(N, j))
-    return out
-
-
-def apply_regular_power(chain: Chain, q: int, N: int) -> Chain:
-    for _ in range(q):
-        chain = apply_regular_boundary(chain, N)
-    return chain
 
 
 @dataclass
@@ -103,12 +67,37 @@ class BoundaryMatrix:
         return Matrix(len(self.row_paths) - self.allowed_rows, len(self.col_paths),
                       self.order, entries)
 
+    @cached_property
     def columns(self) -> list[list[tuple[int, Scalar]]]:
         """(row, entry) pairs of each column, in column order."""
         out: list[list[tuple[int, Scalar]]] = [[] for _ in self.col_paths]
         for (r, c), v in self.entries.items():
             out[c].append((r, v))
         return out
+
+    def apply(self, x) -> Row:
+        """Sparse image of the vector with nonzero (column, coefficient) pairs x."""
+        columns = self.columns
+        one = Scalar.one(self.order)
+        out: Row = {}
+        for c, xc in x:
+            unit = xc == one
+            for r, v in columns[c]:
+                t = v if unit else xc * v
+                w = out.get(r)
+                if w is not None:
+                    t = w + t
+                    if not t:
+                        del out[r]
+                        continue
+                out[r] = t
+        return out
+
+    def images(self, space: Subspace):
+        """Images of the basis of space, one sparse row at a time."""
+        zero = Scalar.zero(self.order)
+        for x in space.basis:
+            yield self.apply((c, xc) for c, xc in enumerate(x) if xc is not zero and xc)
 
 
 def _group_ring_power(p: Path, q: int, N: int) -> dict[Path, list[int]]:
@@ -211,16 +200,12 @@ def verify_nilpotency(P: PathComplex, N: int, n_max: int) -> bool:
     """Does the N-th regular boundary power vanish on every allowed basis?
 
     The power is taken through the full regular span reached from the
-    allowed n-paths.  This holds for simplicial complexes and acyclic
-    digraphs; a digraph whose walks revisit a vertex two steps apart can
-    defeat it, because dropped irregular faces no longer cancel.
+    allowed n-paths, for n <= n_max; below dimension N it is zero.  This
+    holds for simplicial complexes and acyclic digraphs; a digraph whose
+    walks revisit a vertex two steps apart can defeat it, because dropped
+    irregular faces no longer cancel.
     """
-    one = Scalar.one(N)
-    for n in range(n_max + 1):
-        for p in P.paths(n):
-            if apply_regular_power({p: one}, N, N):
-                return False
-    return True
+    return not any(boundary_power_matrix(P, n, N, N).entries for n in range(N, n_max + 1))
 
 
 # -- the free (non-regular) operator ------------------------------------

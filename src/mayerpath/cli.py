@@ -32,6 +32,13 @@ class InputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1), not with argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _load_input(path: str, kind: str, max_dim: int) -> tuple[PathComplex, Digraph | None]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -282,7 +289,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mayerpath",
         description="Exact root-of-unity path homology of digraphs and path complexes",
     )
@@ -327,9 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

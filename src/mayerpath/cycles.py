@@ -297,14 +297,10 @@ class Z1Result:
         return self.shortfall == 0
 
 
-def _multigraph_edges(g: Digraph) -> list[Edge]:
-    return list(g.edges)
-
-
 def _spanning_forest(g: Digraph) -> tuple[set[Edge], dict[int, list[tuple[int, Edge]]]]:
     """Deterministic BFS forest of the underlying multigraph."""
     adjacency: dict[int, list[tuple[int, Edge]]] = {v: [] for v in range(g.n)}
-    for e in _multigraph_edges(g):
+    for e in g.edges:
         u, v = e
         adjacency[u].append((v, e))
         adjacency[v].append((u, e))
@@ -357,7 +353,7 @@ def fundamental_cycles(g: Digraph) -> list[UndirectedCycle]:
     """
     tree, parent = _spanning_forest(g)
     cycles = []
-    for e in _multigraph_edges(g):
+    for e in g.edges:
         if e in tree:
             continue
         u, v = e

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import BoundaryMatrix, apply_regular_power, boundary_power_matrix
+from .boundary import boundary_power_matrix
 from .complexes import PathComplex
 from .cyclotomic import Scalar, zeta_power
-from .linalg import NotASubspace, Row, Subspace, intersect, nullspace, rank
-from .omega import omega_full
+from .linalg import Matrix, NotASubspace, Subspace, nullspace
+from .omega import _image_rank, _nth_power_record, _omega_rows, omega_full
 
 
 class ImageEscapesAllowed(ValueError):
@@ -27,15 +27,15 @@ class ImageEscapesAllowed(ValueError):
 
 
 def cycle_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
-    """Z_n^{N,q}: invariant n-chains killed by the q-th boundary power."""
+    """Z_n^{N,q}: invariant n-chains killed by the q-th boundary power.
+
+    One nullspace of the Omega_n constraints (see ``omega_full``) stacked
+    on every row of d^q.
+    """
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")
-    omega = omega_full(P, n, N).space
-    bm = boundary_power_matrix(P, n, q, N)
-    full = bm.matrix
-    if full.rows == 0:
-        return omega
-    return intersect(omega, nullspace(full))
+    rows = _omega_rows(P, n, N) + boundary_power_matrix(P, n, q, N).matrix.row_dicts()
+    return nullspace(Matrix.from_row_dicts(rows, len(P.paths(n)), N))
 
 
 def boundary_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
@@ -43,88 +43,34 @@ def boundary_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")
     m = n + N - q
-    source = omega_full(P, m, N).space
-    target_paths = P.paths(n)
-    index = {p: i for i, p in enumerate(target_paths)}
+    bm = boundary_power_matrix(P, m, N - q, N)
     zero = Scalar.zero(N)
     vectors = []
-    source_paths = P.paths(m)
-    for row in source.basis:
-        chain = {source_paths[i]: c for i, c in enumerate(row) if c}
-        image = apply_regular_power(chain, N - q, N)
-        vec = [zero] * len(target_paths)
-        for p, c in image.items():
-            if p not in index:
-                raise ImageEscapesAllowed(
-                    f"boundary image hit non-allowed path {p}; chain closure is broken"
-                )
-            vec[index[p]] = c
-        vectors.append(tuple(vec))
-    return Subspace.from_spanning(vectors, len(target_paths), N)
-
-
-def _apply(columns: list[list[tuple[int, Scalar]]], x, one: Scalar) -> Row:
-    """Sparse image of the vector with nonzero (column, coefficient) pairs x."""
-    out: Row = {}
-    for c, xc in x:
-        unit = xc == one
-        for r, v in columns[c]:
-            t = v if unit else xc * v
-            w = out.get(r)
-            if w is not None:
-                t = w + t
-                if not t:
-                    del out[r]
-                    continue
-            out[r] = t
-    return out
-
-
-def _images(bm: BoundaryMatrix, space: Subspace):
-    """Images under bm of the basis of space, one sparse row at a time."""
-    columns = bm.columns()
-    zero, one = Scalar.zero(bm.order), Scalar.one(bm.order)
-    for x in space.basis:
-        yield _apply(columns, ((c, xc) for c, xc in enumerate(x) if xc is not zero and xc),
-                     one)
-
-
-def _image_rank(P: PathComplex, m: int, r: int, N: int) -> int:
-    """rank(d^r | Omega_m^N)."""
-    key = ("image_rank", m, r, N)
-    cached = P._memo.get(key)
-    if cached is None:
-        cached = P._memo[key] = rank(
-            _images(boundary_power_matrix(P, m, r, N), omega_full(P, m, N).space))
-    return cached
+    for y in bm.images(omega_full(P, m, N).space):
+        if y and max(y) >= bm.allowed_rows:
+            raise ImageEscapesAllowed(
+                f"boundary image hit non-allowed path {bm.row_paths[max(y)]}; "
+                f"chain closure is broken"
+            )
+        vectors.append(tuple(y.get(i, zero) for i in range(bm.allowed_rows)))
+    return Subspace.from_spanning(vectors, bm.allowed_rows, N)
 
 
 def _boundary_rank(P: PathComplex, n: int, q: int, N: int) -> int:
     """dim B_n^{N,q} = rank(d^(N-q) | Omega_m^N), m = n+N-q.
 
-    The first time dimension m is reached with n >= q, this also checks
-    that d^N vanishes on the Omega_m basis, as d^q of the images the rank
-    is taken of.  For n < q, d^N x lies in dimension n - q < 0 and is 0.
+    For n >= q the rank comes with the d^N record of Omega_m (see
+    ``omega._nth_power_record``), and B is only a subspace of the cycles
+    when d^N vanishes there.  For n < q, d^N x lies in dimension n - q < 0
+    and is 0.
     """
     m = n + N - q
-    checked = ("dN_vanishes", m, N)
-    if n < q or checked in P._memo:
-        return _image_rank(P, m, N - q, N)
-    dq = boundary_power_matrix(P, n, q, N).columns()
-    one = Scalar.one(N)
-
-    def checked_images():
-        for y in _images(boundary_power_matrix(P, m, N - q, N), omega_full(P, m, N).space):
-            if _apply(dq, y.items(), one):
-                raise NotASubspace(
-                    f"d^{N} does not vanish on Omega_{m}, so boundaries escape cycles; "
-                    f"the chain-complex invariant d^q d^(N-q) = 0 failed upstream"
-                )
-            yield y
-
-    result = P._memo[("image_rank", m, N - q, N)] = rank(checked_images())
-    P._memo[checked] = True
-    return result
+    if n >= q and not _nth_power_record(P, m, N - q, N).vanishes:
+        raise NotASubspace(
+            f"d^{N} does not vanish on Omega_{m}, so boundaries escape cycles; "
+            f"the chain-complex invariant d^q d^(N-q) = 0 failed upstream"
+        )
+    return _image_rank(P, m, N - q, N)
 
 
 def betti(P: PathComplex, n: int, q: int, N: int) -> int:
@@ -144,8 +90,9 @@ def betti(P: PathComplex, n: int, q: int, N: int) -> int:
       every r >= q too, so y lies in Omega_n and in ker d^q: B is in Z.
     * Conversely, if B is in Z, then d^N x = d^q y = 0 for every x.
 
-    The check is made once per m (see ``_boundary_rank``); when it fails
-    the quotient is undefined and ``NotASubspace`` is raised.
+    The check is read once per m from the d^N record (see
+    ``_boundary_rank``); when it fails the quotient is undefined and
+    ``NotASubspace`` is raised.
     """
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")

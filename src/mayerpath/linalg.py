@@ -57,27 +57,6 @@ class Matrix:
             out[r][c] = v
         return out
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, self.order,
-                      {(c, r): v for (r, c), v in self.entries.items()})
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def dump(self, row_labels=None, col_labels=None) -> str:
-        """Bordered rendering with row/column labels, for debugging."""
-        rl = row_labels or [str(i) for i in range(self.rows)]
-        cl = col_labels or [str(j) for j in range(self.cols)]
-        grid = [[""] + [str(c) for c in cl]]
-        rows = self.row_dicts()
-        zero = Scalar.zero(self.order)
-        for i, row in enumerate(rows):
-            grid.append([str(rl[i])] + [(row.get(j, zero)).render() for j in range(self.cols)])
-        widths = [max(len(grid[r][c]) for r in range(len(grid))) for c in range(self.cols + 1)]
-        return "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(line, widths)) for line in grid
-        )
-
 
 def _sub_scaled(target: Row, source: Row, factor: Scalar) -> None:
     """target -= factor * source in place, dropping exact zeros."""
@@ -282,7 +261,3 @@ def quotient_dim(z: Subspace, b: Subspace) -> int:
                 "the chain-complex invariant d^q d^(N-q) = 0 failed upstream"
             )
     return z.dim - b.dim
-
-
-def in_span(vector, s: Subspace) -> bool:
-    return s.contains(vector)

@@ -108,6 +108,17 @@ def test_non_integer_q_exits_one(capsys, fixture_file):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_usage_errors_exit_one(capsys, fixture_file):
+    # argparse's own exit code 2 is the one the CLI keeps for invariant violations
+    for argv, message in (
+        (["betti", "--input", fixture_file("diamond"), "--N", "abc"], "invalid int value: 'abc'"),
+        (["betti", "--N", "3"], "required: --input"),
+    ):
+        code, out, err = run_main(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and message in err, err
+
+
 def test_negative_max_dim_exits_one(capsys, fixture_file):
     code, out, err = run_main(capsys, [
         "betti", "--input", fixture_file("diamond"), "--N", "3", "--max-dim", "-1"])
@@ -156,6 +167,14 @@ def test_double_edge_invariant_violation_exits_two(capsys, tmp_path):
     path.write_text("1 2\n2 1\n")
     code, _, err = run_main(capsys, ["betti", "--input", str(path), "--N", "3"])
     assert code == 2
+    assert "invariant violation" in err
+
+
+def test_check_double_edge_exits_two_without_output(capsys, tmp_path):
+    path = tmp_path / "double.edges"
+    path.write_text("1 2\n2 1\n")
+    code, out, err = run_main(capsys, ["check", "--input", str(path), "--N", "3"])
+    assert code == 2 and out == ""
     assert "invariant violation" in err
 
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from mayerpath.boundary import apply_regular_power
 from mayerpath.complexes import Digraph, parse_digraph, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.fixtures import ALL_FIXTURES, load_digraph, load_fixture

@@ -11,7 +11,6 @@ from mayerpath.linalg import (
     Matrix,
     NotASubspace,
     Subspace,
-    in_span,
     intersect,
     nullspace,
     quotient_dim,
@@ -99,7 +98,8 @@ def test_rank_equals_transpose_rank_random():
                             Fraction(rng.randint(-3, 3))
             m = Matrix(rows, cols, N, entries)
             _, rank_m, _ = rref(m)
-            _, rank_t, _ = rref(m.transpose())
+            transpose = Matrix(cols, rows, N, {(c, r): v for (r, c), v in entries.items()})
+            _, rank_t, _ = rref(transpose)
             assert rank_m == rank_t
             # forward elimination agrees, and consumes rows lazily
             assert rank(iter(m.row_dicts())) == rank_m
@@ -173,9 +173,9 @@ def test_in_span():
     N = 3
     one, z = Scalar.one(N), Scalar.zero(N)
     s = Subspace.from_spanning([(one, one, z)], 3, N)
-    assert in_span((z, z, z), s)
-    assert in_span(s.basis[0], s)
-    assert not in_span((one, z, z), s)
+    assert s.contains((z, z, z))
+    assert s.contains(s.basis[0])
+    assert not s.contains((one, z, z))
 
 
 def test_ambient_mismatch():
@@ -199,12 +199,5 @@ def test_span_membership_closed_under_combination(data, N):
     combo = [Scalar.zero(N)] * ambient
     for w, vec in zip(weights, scalars):
         combo = [a + Scalar.from_rational(N, w) * b for a, b in zip(combo, vec)]
-    assert in_span(combo, s)
+    assert s.contains(combo)
 
-
-def test_matrix_dump_has_labels():
-    N = 2
-    m = loop4_boundary(N)
-    text = m.dump(row_labels=["e1", "e2", "e3", "e4"],
-                  col_labels=["e12", "e14", "e32", "e43"])
-    assert "e12" in text and "e4" in text

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mayerpath.boundary import boundary_power_matrix, verify_nilpotency
 from mayerpath.complexes import Digraph, parse_digraph, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.fixtures import DIGRAPH_FIXTURES, load_digraph, load_fixture
@@ -93,18 +94,13 @@ def test_chain_closure_on_fixtures():
 def test_chain_closure_fails_for_single_level_space(diamond):
     # the level-(3,1) space in dim 3 maps outside the level-(3,1) space in
     # dim 2: the intersection construction exists precisely to fix this
-    from mayerpath.boundary import apply_regular_power
-
     space = omega_nq(diamond, 3, 1, 3).space
     assert space.dim == 1
-    paths = diamond.paths(3)
-    chain = {paths[i]: c for i, c in enumerate(space.basis[0]) if c}
-    image = apply_regular_power(chain, 1, 3)
+    bm = boundary_power_matrix(diamond, 3, 1, 3)
+    (image,) = bm.images(space)
+    assert max(image) < bm.allowed_rows  # the image itself is allowed
     target = omega_nq(diamond, 2, 1, 3).space
-    lower = {p: i for i, p in enumerate(diamond.paths(2))}
-    vec = [Scalar.zero(3)] * len(lower)
-    for p, c in image.items():
-        vec[lower[p]] = c
+    vec = [image.get(i, Scalar.zero(3)) for i in range(bm.allowed_rows)]
     assert not target.contains(vec)
 
 
@@ -194,3 +190,111 @@ def test_order_two_matches_classical_path_homology_omega():
         P = path_complex_from_digraph(g, 3)
         assert [omega_full(P, n, 2).space.dim for n in range(4)] == \
             _classical_omega_dims(g, 3)
+
+
+# -- references for the three `check` invariants, from single boundary steps
+
+
+def _step(P, n, N, x):
+    """d x for x = {index of an allowed n-path: coefficient}, as {path: coefficient}."""
+    bm = boundary_power_matrix(P, n, 1, N)
+    out = {}
+    for c, xc in x.items():
+        for r, v in bm.columns[c]:
+            f = bm.row_paths[r]
+            out[f] = out.get(f, Scalar.zero(N)) + xc * v
+    return {f: v for f, v in out.items() if v}
+
+
+def _indexed(P, n, chain):
+    """The chain over allowed n-paths as {index: coefficient}; None if one is not allowed."""
+    index = {p: i for i, p in enumerate(P.paths(n))}
+    if any(p not in index for p in chain):
+        return None
+    return {index[p]: c for p, c in chain.items()}
+
+
+def _basis(P, n, N):
+    return [{i: c for i, c in enumerate(row) if c} for row in omega_full(P, n, N).space.basis]
+
+
+def _reference_nilpotency(P, N, n_max):
+    for m in range(n_max + 1):
+        for x in _basis(P, m, N):
+            for k in range(1, N):
+                x = _indexed(P, m - k, _step(P, m - k + 1, N, x))
+                assert x is not None  # d^k of an invariant chain stays allowed for k < N
+            if _step(P, m - N + 1, N, x):
+                return False
+    return True
+
+
+def _reference_closure(P, N, n):
+    target = omega_full(P, n - 1, N).space
+    for x in _basis(P, n, N):
+        y = _indexed(P, n - 1, _step(P, n, N, x))
+        if y is None:
+            return False
+        if not target.contains([y.get(i, Scalar.zero(N)) for i in range(target.ambient_dim)]):
+            return False
+    return True
+
+
+def _regular_boundary(chain, N):
+    """One regular boundary step on {path: coefficient} chains over any regular paths."""
+    out = {}
+    for p, c in chain.items():
+        for j in range(len(p) if len(p) > 1 else 0):
+            f = p[:j] + p[j + 1:]
+            if all(a != b for a, b in zip(f, f[1:])):
+                out[f] = out.get(f, Scalar.zero(N)) + c * zeta_power(N, j)
+    return {f: v for f, v in out.items() if v}
+
+
+def _reference_span_nilpotency(P, N, n_max):
+    for n in range(n_max + 1):
+        for p in P.paths(n):
+            chain = {p: Scalar.one(N)}
+            for _ in range(N):
+                chain = _regular_boundary(chain, N)
+            if chain:
+                return False
+    return True
+
+
+def test_check_invariants_match_references_with_antiparallel_pairs():
+    """Both outcomes of every `check` invariant, against single-step references.
+
+    The Omega-side references multiply single-step boundary matrices (an
+    invariant chain's images stay allowed for fewer than N steps); the
+    regular-span one steps through non-allowed paths too, so it deletes
+    faces itself.
+    """
+    from conftest import random_digraph
+
+    rng = random.Random(532)
+    max_dim = 5
+    seen = {"omega_nilpotency": set(), "verify_chain_closure": set(),
+            "verify_nilpotency": set()}
+    cases = 0
+    while cases < 40:
+        g = random_digraph(rng, 3, 6, allow_antiparallel=True)
+        if not any((v, u) in g.edge_set for u, v in g.edges):
+            u, v = rng.sample(range(g.n), 2)
+            g = Digraph(g.labels, tuple(sorted(set(g.edges) | {(u, v), (v, u)})))
+        P = path_complex_from_digraph(g, max_dim)
+        if sum(len(P.paths(n)) for n in range(max_dim + 1)) > 250:
+            continue
+        cases += 1
+        for N in (2, 3, 4, 5):
+            got = omega_nilpotency(P, N, max_dim)
+            assert got == _reference_nilpotency(P, N, max_dim), (g, N)
+            seen["omega_nilpotency"].add(got)
+            for n in range(1, max_dim + 1):
+                got = verify_chain_closure(P, N, n)
+                assert got == _reference_closure(P, N, n), (g, N, n)
+                seen["verify_chain_closure"].add(got)
+            got = verify_nilpotency(P, N, max_dim)
+            assert got == _reference_span_nilpotency(P, N, max_dim), (g, N)
+            seen["verify_nilpotency"].add(got)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
