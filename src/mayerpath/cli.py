@@ -16,7 +16,7 @@ from .complexes import (
     path_complex_from_digraph,
     path_complex_from_simplicial,
 )
-from .cycles import fundamental_cycles, is_admissible, orientation_profile, z1_generators
+from .cycles import orientation_profile, z1_generators
 from .homology import ImageEscapesAllowed, betti_table, poincare_identity_check
 from .linalg import InvariantViolation, NotASubspace
 from .omega import omega_full, omega_nilpotency, omega_nq, verify_chain_closure

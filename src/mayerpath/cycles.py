@@ -12,7 +12,7 @@ than dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .boundary import boundary_power_matrix
 from .complexes import Digraph, PathComplex

@@ -1,11 +1,15 @@
 """Exact linear algebra over Q(zeta_N): RREF, ranks, nullspaces, subspace lattice ops.
 
-Matrices are sparse maps (row, col) -> Scalar; elimination is plain
+Matrices are sparse maps (row, col) -> Scalar.  ``rank`` and
+``nullspace`` share one forward elimination that takes the rows one at a
+time and keeps only the pivot rows; ``nullspace`` stops it at full column
+rank and back-substitutes among the pivot rows only when a free column
+is left.  ``rref``, ``Subspace.from_spanning`` and ``intersect`` run
 Gauss-Jordan with a fixed pivot rule (first row with a nonzero entry,
-scanning columns left to right), so every emitted basis is reproducible.
-Subspaces are stored as reduced row echelon bases, which makes the
-representation canonical: two subspaces are equal iff their stored rows
-are identical.
+scanning columns left to right).  The RREF of a row space is unique, so
+every emitted basis is reproducible.  Subspaces are stored as reduced
+row echelon bases, which makes the representation canonical: two
+subspaces are equal iff their stored rows are identical.
 """
 
 from __future__ import annotations
@@ -98,14 +102,16 @@ def _reduce_rows(rows: list[Row], cols: int) -> tuple[list[Row], list[int]]:
     return rows, pivots
 
 
-def rank(rows) -> int:
-    """Rank of an iterable of sparse rows, by forward elimination.
+def _forward(rows, full: int | None = None) -> dict[int, Row]:
+    """Forward elimination; returns the pivot rows keyed by leading column.
 
     Rows are taken one at a time and reduced against the pivot rows kept
     so far, each normalised to 1 at its leading column; a nonzero
     residual becomes a new pivot row.  Only the pivot rows stay alive, so
     the rows may come from a generator.  An input row is reduced in
-    place, so pass rows the caller no longer needs.
+    place, so pass rows the caller no longer needs.  The pass stops once
+    it holds ``full`` pivots: with one pivot per column every later row
+    reduces to zero.
     """
     pivots: dict[int, Row] = {}
     for row in rows:
@@ -117,7 +123,18 @@ def rank(rows) -> int:
                 pivots[c] = {k: v * inv for k, v in row.items()}
                 break
             _sub_scaled(row, pivot, row[c])
-    return len(pivots)
+        if len(pivots) == full:
+            break
+    return pivots
+
+
+def rank(rows) -> int:
+    """Rank of an iterable of sparse rows, by forward elimination.
+
+    The rows are consumed as in ``_forward``: one at a time, each reduced
+    in place.
+    """
+    return len(_forward(rows))
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
@@ -210,22 +227,38 @@ class Subspace:
 
 
 def nullspace(m: Matrix) -> Subspace:
-    """Canonical basis of {x : m x = 0}; dim = cols - rank (checked)."""
-    reduced, rk, pivots = rref(m)
-    rows = reduced.row_dicts()[:rk]
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    zero, one = Scalar.zero(m.order), Scalar.one(m.order)
-    vectors = []
-    for f in free_cols:
-        vec = [zero] * m.cols
-        vec[f] = one
-        for row, p in zip(rows, pivots):
-            coef = row.get(f)
-            if coef:
-                vec[p] = -coef
-        vectors.append(tuple(vec))
-    space = Subspace.from_spanning(vectors, m.cols, m.order)
+    """Canonical basis of {x : m x = 0}; dim = cols - rank (checked).
+
+    One forward elimination of the rows, which stops at full column rank
+    (the zero space).  Otherwise back-substitution among the pivot rows
+    gives the RREF, and the vectors of its free columns are brought to
+    the canonical basis.
+    """
+    pivots = _forward(m.row_dicts(), m.cols)
+    rk = len(pivots)
+    free = [c for c in range(m.cols) if c not in pivots]
+    if not free:
+        space = Subspace.zero_space(m.cols, m.order)
+    else:
+        lead = sorted(pivots)
+        for i in reversed(range(rk)):
+            below = pivots[lead[i]]
+            for c in lead[:i]:
+                row = pivots[c]
+                f = row.get(lead[i])
+                if f:
+                    _sub_scaled(row, below, f)
+        zero, one = Scalar.zero(m.order), Scalar.one(m.order)
+        vectors = []
+        for f in free:
+            vec = [zero] * m.cols
+            vec[f] = one
+            for p in lead:
+                coef = pivots[p].get(f)
+                if coef:
+                    vec[p] = -coef
+            vectors.append(tuple(vec))
+        space = Subspace.from_spanning(vectors, m.cols, m.order)
     if space.dim + rk != m.cols:
         raise InvariantViolation("rank-nullity violated")
     return space

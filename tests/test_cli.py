@@ -147,11 +147,12 @@ def test_invariant_violation_exits_two_under_optimize(fixture_file):
         "import mayerpath.linalg as linalg\n"
         "from mayerpath.cli import main\n"
         "assert False, 'asserts must be off'\n"
-        "real = linalg.rref\n"
-        "def short_rank(m):\n"
-        "    reduced, rank, pivots = real(m)\n"
-        "    return reduced, rank + 1, pivots\n"
-        "linalg.rref = short_rank\n"
+        "real = linalg._forward\n"
+        "def extra_pivot(rows, full=None):\n"
+        "    pivots = real(rows, full)\n"
+        "    pivots[-1] = {}\n"
+        "    return pivots\n"
+        "linalg._forward = extra_pivot\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     proc = subprocess.run(

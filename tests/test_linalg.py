@@ -105,6 +105,80 @@ def test_rank_equals_transpose_rank_random():
             assert rank(iter(m.row_dicts())) == rank_m
 
 
+def _reference_nullspace(m):
+    """The RREF of m, then the canonical span of its free-column vectors."""
+    reduced, rk, pivots = rref(m)
+    rows = reduced.row_dicts()[:rk]
+    zero, one = Scalar.zero(m.order), Scalar.one(m.order)
+    vectors = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        vec = [zero] * m.cols
+        vec[f] = one
+        for row, p in zip(rows, pivots):
+            if f in row:
+                vec[p] = -row[f]
+        vectors.append(tuple(vec))
+    return Subspace.from_spanning(vectors, m.cols, m.order)
+
+
+def _random_matrix(rng, N, rows, cols, rank_cap):
+    """rows x cols, each row a random combination of rank_cap random rows."""
+    def entry(density):
+        if rng.random() >= density:
+            return Scalar.zero(N)
+        return zeta_power(N, rng.randrange(N)) * Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+
+    base = [[entry(0.6) for _ in range(cols)] for _ in range(rank_cap)]
+    entries = {}
+    for r in range(rows):
+        weights = [entry(0.7) for _ in range(rank_cap)]
+        for c in range(cols):
+            v = Scalar.zero(N)
+            for w, b in zip(weights, base):
+                if w and b[c]:
+                    v = v + w * b[c]
+            if v:
+                entries[(r, c)] = v
+    return Matrix(rows, cols, N, entries)
+
+
+def test_nullspace_matches_rref_reference_random():
+    rng = random.Random(2026)
+    for N in (2, 3, 4, 5, 6):
+        shapes = {"tall full rank": 0, "tall deficient": 0, "wide": 0, "zero": 0}
+        for _ in range(16):
+            cols = rng.randint(1, 7)
+            kind = rng.choice(("tall", "tall", "wide", "zero"))
+            if kind == "tall":
+                rows = rng.randint(cols + 1, 3 * cols + 2)
+                m = _random_matrix(rng, N, rows, cols, rng.randint(1, cols + 1))
+            elif kind == "wide":
+                rows = rng.randint(1, cols)
+                m = _random_matrix(rng, N, rows, cols + 1, rng.randint(1, rows))
+            else:
+                m = Matrix(rng.randint(1, 5), cols, N, {})
+            _, rk, _ = rref(m)
+            if not m.entries:
+                shapes["zero"] += 1
+            elif m.rows > m.cols:
+                shapes["tall full rank" if rk == m.cols else "tall deficient"] += 1
+            elif m.rows < m.cols:
+                shapes["wide"] += 1
+            space = nullspace(m)
+            ref = _reference_nullspace(m)
+            assert space.basis == ref.basis
+            assert space.pivot_cols == ref.pivot_cols
+            assert space.dim == m.cols - rk
+            for vec in space.basis:
+                product = [Scalar.zero(N)] * m.rows
+                for (r, c), v in m.entries.items():
+                    product[r] = product[r] + v * vec[c]
+                assert not any(product)
+        assert all(shapes.values()), (N, shapes)
+
+
 def _random_vectors(rng, N, ambient, count):
     vecs = []
     for _ in range(count):
