@@ -26,6 +26,11 @@ from .structure import SpanMismatch, minimal_clusters, omega2_decompose, special
 
 EXIT_INPUT = 1
 EXIT_INVARIANT = 2
+# Largest accepted --N.  Arithmetic in Q(zeta_N) first builds a table of
+# about N powers of zeta of phi(N) rationals each, so an unchecked N
+# allocates O(N * phi(N)) fractions before any path is read; every bundled
+# input and benchmark case uses N <= 7.
+MAX_ORDER = 64
 
 
 class InputError(ValueError):
@@ -86,6 +91,8 @@ def _json_dumps(data) -> str:
 def _check_config(args) -> None:
     if args.N < 2:
         raise InputError("N must be >= 2")
+    if args.N > MAX_ORDER:
+        raise InputError(f"N must be <= {MAX_ORDER}")
     if args.max_dim < 0:
         raise InputError("max-dim must be >= 0")
     if args.q != "all":

@@ -179,11 +179,6 @@ def face(p: Path, j: int) -> Path:
     return p[:j] + p[j + 1:]
 
 
-def is_regular(p: Path) -> bool:
-    """True iff no two consecutive vertices coincide."""
-    return all(p[i] != p[i + 1] for i in range(len(p) - 1))
-
-
 class PathComplex:
     """Allowed elementary paths per dimension, closed under end truncations."""
 

@@ -4,22 +4,25 @@ For the N-chain complex of invariant paths, the level-(N,q) homology in
 dimension n is ker(d^q) / im(d^(N-q)), with the kernel taken literally
 (the boundary is zero below dimension 0) and the image taken from the
 intersection complex Omega^N.  A Betti number needs ranks only, so
-``betti`` forms no subspace.  Containment of boundaries in cycles is
+``betti`` forms no subspace.  Every boundary power it ranks is an
+iterated d^1: the images d^r x of the Omega_m basis, r = 1 .. N-1, are
+made once per dimension m by ``omega._images``, and so is the d^N record
+that decides containment.  Containment of boundaries in cycles is
 checked, not assumed: on inputs where the weighted boundary fails to be
 N-nilpotent (double edges at N >= 3) the computation stops with a hard
 error instead of reporting meaningless dimensions.  ``cycle_space`` and
-``boundary_space`` build the two subspaces themselves, as diagnostics.
+``boundary_space`` build the two subspaces from the same images, as
+diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import boundary_power_matrix
 from .complexes import PathComplex
 from .cyclotomic import Scalar, zeta_power
-from .linalg import Matrix, NotASubspace, Subspace, nullspace
-from .omega import _image_rank, _nth_power_record, _omega_rows, omega_full
+from .linalg import NotASubspace, Subspace
+from .omega import _image_rank, _images, _kernel_within, _nth_power_record, omega_full
 
 
 class ImageEscapesAllowed(ValueError):
@@ -29,31 +32,23 @@ class ImageEscapesAllowed(ValueError):
 def cycle_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
     """Z_n^{N,q}: invariant n-chains killed by the q-th boundary power.
 
-    One nullspace of the Omega_n constraints (see ``omega_full``) stacked
-    on every row of d^q.
+    One nullspace over the Omega_n basis of its d^q images (see
+    ``omega._images``).
     """
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")
-    rows = _omega_rows(P, n, N) + boundary_power_matrix(P, n, q, N).matrix.row_dicts()
-    return nullspace(Matrix.from_row_dicts(rows, len(P.paths(n)), N))
+    return _kernel_within(omega_full(P, n, N).space, _images(P, n, N)[q - 1])
 
 
 def boundary_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
     """B_n^{N,q}: images of invariant (n+N-q)-chains under d^(N-q)."""
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")
-    m = n + N - q
-    bm = boundary_power_matrix(P, m, N - q, N)
+    ambient = len(P.paths(n))
     zero = Scalar.zero(N)
-    vectors = []
-    for y in bm.images(omega_full(P, m, N).space):
-        if y and max(y) >= bm.allowed_rows:
-            raise ImageEscapesAllowed(
-                f"boundary image hit non-allowed path {bm.row_paths[max(y)]}; "
-                f"chain closure is broken"
-            )
-        vectors.append(tuple(y.get(i, zero) for i in range(bm.allowed_rows)))
-    return Subspace.from_spanning(vectors, bm.allowed_rows, N)
+    vectors = [tuple(y.get(i, zero) for i in range(ambient))
+               for y in _images(P, n + N - q, N)[N - q - 1]]
+    return Subspace.from_spanning(vectors, ambient, N)
 
 
 def _boundary_rank(P: PathComplex, n: int, q: int, N: int) -> int:
@@ -65,7 +60,7 @@ def _boundary_rank(P: PathComplex, n: int, q: int, N: int) -> int:
     and is 0.
     """
     m = n + N - q
-    if n >= q and not _nth_power_record(P, m, N - q, N).vanishes:
+    if n >= q and not _nth_power_record(P, m, N).vanishes:
         raise NotASubspace(
             f"d^{N} does not vanish on Omega_{m}, so boundaries escape cycles; "
             f"the chain-complex invariant d^q d^(N-q) = 0 failed upstream"

@@ -1,10 +1,10 @@
-"""Exact linear algebra over Q(zeta_N): RREF, ranks, nullspaces, subspace lattice ops.
+"""Exact linear algebra over Q(zeta_N): ranks, nullspaces, subspace lattice ops.
 
 Matrices are sparse maps (row, col) -> Scalar.  ``rank`` and
 ``nullspace`` share one forward elimination that takes the rows one at a
 time and keeps only the pivot rows; ``nullspace`` stops it at full column
 rank and back-substitutes among the pivot rows only when a free column
-is left.  ``rref``, ``Subspace.from_spanning`` and ``intersect`` run
+is left.  ``Subspace.from_spanning`` and ``intersect`` run
 Gauss-Jordan with a fixed pivot rule (first row with a nonzero entry,
 scanning columns left to right).  The RREF of a row space is unique, so
 every emitted basis is reproducible.  Subspaces are stored as reduced
@@ -135,12 +135,6 @@ def rank(rows) -> int:
     in place.
     """
     return len(_forward(rows))
-
-
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form, rank and pivot columns."""
-    rows, pivots = _reduce_rows(m.row_dicts(), m.cols)
-    return Matrix.from_row_dicts(rows, m.cols, m.order), len(pivots), tuple(pivots)
 
 
 class Subspace:

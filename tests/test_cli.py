@@ -82,6 +82,18 @@ def test_invalid_order_exits_one(capsys, fixture_file):
     assert "N must be >= 2" in err
 
 
+def test_order_above_bound_exits_one_before_field_arithmetic(capsys, fixture_file):
+    from mayerpath.cli import MAX_ORDER
+    from mayerpath.cyclotomic import _power_table
+
+    tables = _power_table.cache_info().currsize
+    code, out, err = run_main(capsys, [
+        "betti", "--input", fixture_file("diamond"), "--N", "1000000000"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: N must be <= {MAX_ORDER}"]
+    assert _power_table.cache_info().currsize == tables
+
+
 def test_bad_input_exits_one(capsys, tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("1 1\n")

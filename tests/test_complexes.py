@@ -10,12 +10,12 @@ from mayerpath.complexes import (
     SelfLoop,
     digraph_from_json,
     face,
-    is_regular,
     parse_digraph,
     parse_simplices,
     path_complex_from_digraph,
     path_complex_from_simplicial,
 )
+from mayerpath.boundary import _group_ring_power
 from mayerpath.fixtures import fixture_text, load_fixture
 
 
@@ -116,12 +116,20 @@ def test_edge_and_vertex_counts_match_input(diamond):
     assert len(diamond.paths(1)) == 5
 
 
+def _is_regular(p):
+    """Reference: no two consecutive vertices coincide."""
+    return all(a != b for a, b in zip(p, p[1:]))
+
+
 def test_face_and_regularity_helpers():
     assert face((1, 2, 3, 4), 1) == (1, 3, 4)
     with pytest.raises(IndexError):
         face((1, 2), 5)
-    assert is_regular((1, 2, 1))
-    assert not is_regular((1, 2, 2))
+    assert _is_regular((1, 2, 1))
+    assert not _is_regular((1, 2, 2))
+    # the regular boundary keeps exactly the regular faces: (1, 1) is dropped
+    faces = {face((1, 2, 1), j) for j in range(3)}
+    assert set(_group_ring_power((1, 2, 1), 1, 3)) == {f for f in faces if _is_regular(f)}
 
 
 def test_is_allowed(diamond):

@@ -293,3 +293,15 @@ def test_json_and_renderings(diamond):
     assert "0,1,1" in csv
     md = t.render_markdown()
     assert md.startswith("| n |")
+
+
+def test_order_two_equals_oracle_on_random_digraphs():
+    # at N = 2 (zeta = -1) the table is ordinary path homology; the dense
+    # oracle recomputes it without the level recursion or the rational solve
+    from conftest import bounded_random_complex
+
+    rng = random.Random(2002)
+    for i in range(30):
+        g, P = bounded_random_complex(rng, 2, 3, budget=250, allow_antiparallel=i % 2 == 1)
+        oracle = brute_force_oracle(path_complex_from_digraph(g, 3), 2, 3)
+        assert betti_table(P, 2, 3) == oracle, g

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from mayerpath.boundary import boundary_power_matrix, verify_nilpotency
-from mayerpath.complexes import Digraph, parse_digraph, path_complex_from_digraph
+from mayerpath.complexes import Digraph, PathComplex, parse_digraph, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
-from mayerpath.fixtures import DIGRAPH_FIXTURES, load_digraph, load_fixture
-from mayerpath.omega import omega_full, omega_nilpotency, omega_nq, verify_chain_closure
+from mayerpath.fixtures import ALL_FIXTURES, DIGRAPH_FIXTURES, load_digraph, load_fixture
+from mayerpath.linalg import InvariantViolation, Matrix, Subspace, nullspace
+from mayerpath.omega import _level, omega_full, omega_nilpotency, omega_nq, verify_chain_closure
 
 
 def vec_of(P, n, terms):
@@ -192,6 +193,23 @@ def test_order_two_matches_classical_path_homology_omega():
             _classical_omega_dims(g, 3)
 
 
+def _antiparallel_complexes(rng, count, max_dim, budget):
+    """Seeded digraph complexes with an antiparallel pair and at most budget paths up to max_dim."""
+    from conftest import random_digraph
+
+    made = 0
+    while made < count:
+        g = random_digraph(rng, 3, 6, allow_antiparallel=True)
+        if not any((v, u) in g.edge_set for u, v in g.edges):
+            u, v = rng.sample(range(g.n), 2)
+            g = Digraph(g.labels, tuple(sorted(set(g.edges) | {(u, v), (v, u)})))
+        P = path_complex_from_digraph(g, max_dim)
+        if sum(len(P.paths(n)) for n in range(max_dim + 1)) > budget:
+            continue
+        made += 1
+        yield g, P
+
+
 # -- references for the three `check` invariants, from single boundary steps
 
 
@@ -270,22 +288,11 @@ def test_check_invariants_match_references_with_antiparallel_pairs():
     regular-span one steps through non-allowed paths too, so it deletes
     faces itself.
     """
-    from conftest import random_digraph
-
     rng = random.Random(532)
     max_dim = 5
     seen = {"omega_nilpotency": set(), "verify_chain_closure": set(),
             "verify_nilpotency": set()}
-    cases = 0
-    while cases < 40:
-        g = random_digraph(rng, 3, 6, allow_antiparallel=True)
-        if not any((v, u) in g.edge_set for u, v in g.edges):
-            u, v = rng.sample(range(g.n), 2)
-            g = Digraph(g.labels, tuple(sorted(set(g.edges) | {(u, v), (v, u)})))
-        P = path_complex_from_digraph(g, max_dim)
-        if sum(len(P.paths(n)) for n in range(max_dim + 1)) > 250:
-            continue
-        cases += 1
+    for g, P in _antiparallel_complexes(rng, 40, max_dim, 250):
         for N in (2, 3, 4, 5):
             got = omega_nilpotency(P, N, max_dim)
             assert got == _reference_nilpotency(P, N, max_dim), (g, N)
@@ -298,3 +305,78 @@ def test_check_invariants_match_references_with_antiparallel_pairs():
             assert got == _reference_span_nilpotency(P, N, max_dim), (g, N)
             seen["verify_nilpotency"].add(got)
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+# -- the level recursion against single-level and stacked references
+
+
+def _stacked_reference(P, n, N):
+    """Omega_n^N as one nullspace of the stacked non-allowed rows of d^1 .. d^min(N-1, n-1)."""
+    rows = [row for q in range(1, min(N - 1, n - 1) + 1)
+            for row in boundary_power_matrix(P, n, q, N).nonallowed_block().row_dicts()]
+    if not rows:
+        return Subspace.full_space(len(P.paths(n)), N)
+    return nullspace(Matrix.from_row_dicts(rows, len(P.paths(n)), N))
+
+
+def test_level_one_equals_single_level_space():
+    """The rational level-1 solve (peel, then Q) against the Q(zeta_N) kernel of d^1."""
+    rng = random.Random(606)
+    complexes = [load_fixture(name) for name in ALL_FIXTURES]
+    complexes += [P for _, P in _antiparallel_complexes(rng, 40, 6, 300)]
+    kinds = set()
+    for P in complexes:
+        for N in range(2, 7):
+            for n in range(7):
+                got = _level(P, n, 1, N)
+                ref = omega_nq(P, n, 1, N).space
+                assert got.basis == ref.basis, (P.digest(), N, n)
+                assert got.pivot_cols == ref.pivot_cols, (P.digest(), N, n)
+                kinds.add("zero" if got.dim == 0 else
+                          "span" if got.dim == got.ambient_dim else "proper")
+    assert kinds == {"zero", "span", "proper"}
+
+
+def test_omega_full_equals_stacked_reference():
+    """The level recursion against one elimination of every boundary power's rows."""
+    rng = random.Random(707)
+    complexes = [load_fixture(name) for name in ALL_FIXTURES]
+    complexes += [P for _, P in _antiparallel_complexes(rng, 30, 6, 200)]
+    cut_by_higher_levels = 0
+    for P in complexes:
+        for N in range(2, 6):
+            for n in range(7):
+                got = omega_full(P, n, N).space
+                ref = _stacked_reference(P, n, N)
+                assert got.basis == ref.basis, (P.digest(), N, n)
+                assert got.pivot_cols == ref.pivot_cols, (P.digest(), N, n)
+                cut_by_higher_levels += got.dim < _level(P, n, 1, N).dim
+    assert cut_by_higher_levels
+
+
+def _hand_built(dims):
+    P = PathComplex(tuple(str(v) for v in range(4)), "simplicial", {})
+    P._dims = {n: tuple(sorted(paths)) for n, paths in dims.items()}
+    return P
+
+
+def test_face_reached_from_two_positions_raises():
+    # (0,1,2) is not allowed and is the face of (0,1,3,2) at position 2 and of
+    # (0,3,1,2) at position 1, so its row of d^1 is zeta^2 e_0 + zeta e_1, not
+    # a unit times a 0/1 row; no digraph complex has such a face
+    P = _hand_built({
+        0: [(0,), (1,), (2,), (3,)],
+        1: [(0, 1), (0, 3), (1, 2), (1, 3), (3, 1), (3, 2)],
+        2: [(0, 1, 3), (0, 3, 1), (0, 3, 2), (1, 3, 2), (3, 1, 2)],
+        3: [(0, 1, 3, 2), (0, 3, 1, 2)],
+    })
+    assert not P.is_allowed((0, 1, 2))
+    for N in (2, 3, 5):
+        with pytest.raises(InvariantViolation, match="deleting positions 2 and 1"):
+            omega_full(P, 3, N)
+
+
+def test_non_allowed_end_face_raises():
+    P = _hand_built({0: [(0,), (1,), (2,)], 1: [(0, 1)], 2: [(0, 1, 2)]})
+    with pytest.raises(InvariantViolation, match="end face"):
+        omega_full(P, 2, 3)
