@@ -13,6 +13,24 @@ N-nilpotent (double edges at N >= 3) the computation stops with a hard
 error instead of reporting meaningless dimensions.  ``cycle_space`` and
 ``boundary_space`` build the two subspaces from the same images, as
 diagnostics.
+
+Each rank is first taken over F_p (``omega._rank_bound``), a lower bound:
+every nonzero minor over F_p lifts to a nonzero minor over Q(zeta_N)
+(see ``linalg``).  A bound is the rank, with no elimination over
+Q(zeta_N), under either of two certificates:
+
+* full rank: it equals min(nonzero images, allowed paths they are
+  written in), an upper bound of the rank;
+* beta = 0: for the pair (n, q), with a = rank(d^q | Omega_n) and
+  b = rank(d^(N-q) | Omega_(n+N-q)), the containment B in Z, checked
+  exactly first, gives a + b = dim Omega_n - dim Z + dim B <= dim Omega_n.
+  When the two lower bounds already sum to dim Omega_n, both are
+  attained, so both ranks are certified (and beta_n^{N,q} = 0).
+
+``betti_table`` certifies over the whole grid before it eliminates
+anything, since a rank appears in two pairs; the ranks left go through
+the exact ``omega._image_rank``.  So every Betti number is still a
+certified rank.
 """
 
 from __future__ import annotations
@@ -22,7 +40,8 @@ from dataclasses import dataclass
 from .complexes import PathComplex
 from .cyclotomic import Scalar, zeta_power
 from .linalg import NotASubspace, Subspace
-from .omega import _image_rank, _images, _kernel_within, _nth_power_record, omega_full
+from .omega import (_image_rank, _images, _kernel_within, _nth_power_record, _rank_bound,
+                    omega_full)
 
 
 class ImageEscapesAllowed(ValueError):
@@ -51,21 +70,35 @@ def boundary_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
     return Subspace.from_spanning(vectors, ambient, N)
 
 
-def _boundary_rank(P: PathComplex, n: int, q: int, N: int) -> int:
-    """dim B_n^{N,q} = rank(d^(N-q) | Omega_m^N), m = n+N-q.
+def _certify(P: PathComplex, n: int, q: int, N: int, known: dict) -> None:
+    """Check containment for the pair (n, q), then enter the ranks it certifies in known.
 
-    For n >= q the rank comes with the d^N record of Omega_m (see
-    ``omega._nth_power_record``), and B is only a subspace of the cycles
-    when d^N vanishes there.  For n < q, d^N x lies in dimension n - q < 0
+    ``known`` maps (m, r) to rank(d^r | Omega_m); the certificates are in
+    the module docstring.  For n >= q, B is inside Z only when d^N
+    vanishes on Omega_m, m = n+N-q (see ``betti``), and the quotient is
+    undefined otherwise.  For n < q, d^N x lies in dimension n - q < 0
     and is 0.
     """
     m = n + N - q
+    a = _rank_bound(P, n, q, N)
     if n >= q and not _nth_power_record(P, m, N).vanishes:
         raise NotASubspace(
             f"d^{N} does not vanish on Omega_{m}, so boundaries escape cycles; "
             f"the chain-complex invariant d^q d^(N-q) = 0 failed upstream"
         )
-    return _image_rank(P, m, N - q, N)
+    b = _rank_bound(P, m, N - q, N)
+    for key, bound in (((n, q), a), ((m, N - q), b)):
+        if bound.low == bound.cap:
+            known[key] = bound.low
+    if None not in (a.low, b.low) and a.low + b.low == omega_full(P, n, N).space.dim:
+        known[(n, q)], known[(m, N - q)] = a.low, b.low
+
+
+def _betti(P: PathComplex, n: int, q: int, N: int, known: dict) -> int:
+    """beta_n^{N,q} from the certified ranks in known, the others by exact elimination."""
+    ranks = [known[key] if key in known else _image_rank(P, *key, N)
+             for key in ((n, q), (n + N - q, N - q))]
+    return omega_full(P, n, N).space.dim - sum(ranks)
 
 
 def betti(P: PathComplex, n: int, q: int, N: int) -> int:
@@ -85,14 +118,16 @@ def betti(P: PathComplex, n: int, q: int, N: int) -> int:
       every r >= q too, so y lies in Omega_n and in ker d^q: B is in Z.
     * Conversely, if B is in Z, then d^N x = d^q y = 0 for every x.
 
-    The check is read once per m from the d^N record (see
-    ``_boundary_rank``); when it fails the quotient is undefined and
-    ``NotASubspace`` is raised.
+    The check is read once per m from the d^N record (see ``_certify``);
+    when it fails the quotient is undefined and ``NotASubspace`` is
+    raised.  The ranks are certified F_p ranks where a certificate holds
+    (see the module docstring) and exact ones otherwise.
     """
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")
-    cycles = omega_full(P, n, N).space.dim - _image_rank(P, n, q, N)
-    return cycles - _boundary_rank(P, n, q, N)
+    known: dict = {}
+    _certify(P, n, q, N, known)
+    return _betti(P, n, q, N, known)
 
 
 @dataclass
@@ -135,10 +170,12 @@ class BettiTable:
 
 
 def betti_table(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
-    entries = {}
-    for n in range(max_dim + 1):
-        for q in range(1, N):
-            entries[(n, q)] = betti(P, n, q, N)
+    """Every beta_n^{N,q}, n <= max_dim, certified over the whole grid before any exact rank."""
+    grid = [(n, q) for n in range(max_dim + 1) for q in range(1, N)]
+    known: dict = {}
+    for n, q in grid:
+        _certify(P, n, q, N, known)
+    entries = {(n, q): _betti(P, n, q, N, known) for n, q in grid}
     omega_dims = {n: omega_full(P, n, N).space.dim for n in range(max_dim + 1)}
     return BettiTable(N, max_dim, entries, omega_dims, P.digest())
 

@@ -4,7 +4,16 @@ Matrices are sparse maps (row, col) -> Scalar.  ``rank`` and
 ``nullspace`` share one forward elimination that takes the rows one at a
 time and keeps only the pivot rows; ``nullspace`` stops it at full column
 rank and back-substitutes among the pivot rows only when a free column
-is left.  ``Subspace.from_spanning`` and ``intersect`` run
+is left.  ``rank_mod`` runs the same elimination over F_p, for one fixed
+prime p = 1 (mod N) per order (``_modulus``), and gives a certified lower
+bound of the rank: zeta goes to an element w of order exactly N, so
+Phi_N(w) = 0 and x -> w is a ring map from the Q(zeta_N) elements whose
+denominators p does not divide onto F_p.  It commutes with determinants,
+so a nonzero r x r minor over F_p is the image of a nonzero r x r minor
+over Q(zeta_N), and the rank over Q(zeta_N) is at least the rank over
+F_p.  Where an entry's denominator is a multiple of p there is no image,
+and ``rank_mod`` returns None.  The two ways a bound becomes the rank are
+in ``homology``.  ``Subspace.from_spanning`` and ``intersect`` run
 Gauss-Jordan with a fixed pivot rule (first row with a nonzero entry,
 scanning columns left to right).  The RREF of a row space is unique, so
 every emitted basis is reproducible.  Subspaces are stored as reduced
@@ -14,7 +23,9 @@ subspaces are equal iff their stored rows are identical.
 
 from __future__ import annotations
 
-from .cyclotomic import Scalar
+from functools import lru_cache
+
+from .cyclotomic import Scalar, euler_phi
 
 Row = dict[int, Scalar]
 
@@ -135,6 +146,98 @@ def rank(rows) -> int:
     in place.
     """
     return len(_forward(rows))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, exact for n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_root(order: int, floor: int) -> tuple[int, int]:
+    """The least prime p > floor with p = 1 (mod order), and an element of F_p of that order.
+
+    The element is g^((p-1)/order) for the least g >= 2 whose power has no
+    smaller order, that is, whose (order/f)-th power is not 1 for any
+    prime f dividing the order.
+    """
+    p = floor - floor % order + 1
+    while p <= floor or not _is_prime(p):
+        p += order
+    factors = [f for f in range(2, order + 1) if order % f == 0 and _is_prime(f)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // order, p)
+        if all(pow(w, order // f, p) != 1 for f in factors):
+            return p, w
+        g += 1
+
+
+@lru_cache(maxsize=None)
+def _modulus(order: int) -> tuple[int, int]:
+    """The prime of ``rank_mod`` for Q(zeta_order), just above 2^31, and the image of zeta."""
+    return _prime_root(order, 2 ** 31)
+
+
+def rank_mod(rows, order: int) -> int | None:
+    """Rank over F_p of sparse rows over Q(zeta_order), a lower bound of their rank.
+
+    Each entry is mapped to F_p by zeta -> w (``_modulus``; the bound is
+    proved in the module docstring).  Returns None when an entry has a
+    coefficient whose denominator p divides.  The rows are only read.
+    """
+    p, w = _modulus(order)
+    powers = [pow(w, i, p) for i in range(euler_phi(order))]
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        residue: dict[int, int] = {}
+        for c, s in row.items():
+            v = 0
+            for a, wi in zip(s.coeffs, powers):
+                if a:
+                    d = a.denominator
+                    if d == 1:
+                        v += a.numerator * wi
+                    elif d % p:
+                        v += a.numerator * wi * pow(d, -1, p)
+                    else:
+                        return None
+            v %= p
+            if v:
+                residue[c] = v
+        while residue:
+            c = min(residue)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(residue[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in residue.items()}
+                break
+            f = residue[c]
+            for k, v in pivot.items():
+                nv = (residue.get(k, 0) - f * v) % p
+                if nv:
+                    residue[k] = nv
+                else:
+                    del residue[k]
+    return len(pivots)
 
 
 class Subspace:

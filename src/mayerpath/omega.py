@@ -27,8 +27,19 @@ raises ``InvariantViolation``.
 On Omega_m^N every d^r x with r <= N-1 is allowed (see
 ``homology.betti``), so d^r x is r applications of the d^1 matrices,
 each intermediate chain checked to be allowed, and d^N x one more
-(``_images``).  Boundary powers d^q with q > 1 are assembled only for
-the single-level spaces of ``omega_nq`` and for the regular-span check
+(``_images``).
+
+The rank of an image set has two memos.  ``_rank_bound`` holds its rank
+over F_p (``linalg.rank_mod``), a lower bound because every nonzero
+minor over F_p lifts to a nonzero minor over Q(zeta_N), next to the upper
+bound min(nonzero images, allowed (m-r)-paths); where the two meet, the
+rank is certified (the full-rank certificate).  The second certificate,
+beta = 0, pairs the bounds of two ranks and rests on the d^N record (see
+``homology``).  ``_image_rank`` holds the rank by exact elimination over
+Q(zeta_N), asked for only where neither certificate holds.
+
+Boundary powers d^q with q > 1 are assembled only for the single-level
+spaces of ``omega_nq`` and for the regular-span check
 ``boundary.verify_nilpotency``.
 """
 
@@ -40,7 +51,8 @@ from typing import NamedTuple
 from .boundary import boundary_power_matrix
 from .complexes import Path, PathComplex
 from .cyclotomic import Scalar
-from .linalg import InvariantViolation, Matrix, Row, Subspace, _sub_scaled, nullspace, rank
+from .linalg import (InvariantViolation, Matrix, Row, Subspace, _sub_scaled, nullspace, rank,
+                     rank_mod)
 
 
 @dataclass
@@ -299,8 +311,31 @@ def _images(P: PathComplex, m: int, N: int) -> list[list[Row]]:
     return images
 
 
+class _RankBound(NamedTuple):
+    """rank(d^r | Omega_m^N) lies in [low, cap]; low is None where an entry has no image in F_p."""
+
+    low: int | None
+    cap: int
+
+
+def _rank_bound(P: PathComplex, m: int, r: int, N: int) -> _RankBound:
+    """The F_p lower bound of rank(d^r | Omega_m^N) and its upper bound, made once.
+
+    The rank is at most the number of nonzero images and at most the
+    number of allowed (m-r)-paths they are written in; where ``low``
+    reaches that cap it is the rank (the full-rank certificate).
+    """
+    key = ("rank_bound", m, r, N)
+    cached = P._memo.get(key)
+    if cached is None:
+        images = _images(P, m, N)[r - 1]
+        cap = min(sum(1 for y in images if y), len(P.paths(m - r)))
+        cached = P._memo[key] = _RankBound(rank_mod(images, N), cap)
+    return cached
+
+
 def _image_rank(P: PathComplex, m: int, r: int, N: int) -> int:
-    """rank(d^r | Omega_m^N)."""
+    """rank(d^r | Omega_m^N), by exact elimination over Q(zeta_N)."""
     key = ("image_rank", m, r, N)
     cached = P._memo.get(key)
     if cached is None:

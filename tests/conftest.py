@@ -61,3 +61,18 @@ def bounded_random_complex(rng, N, max_dim, budget=400, **kw):
         needed = max_dim + N - 1
         if sum(len(P.paths(n)) for n in range(needed + 1)) <= budget:
             return g, P
+
+
+def antiparallel_complexes(rng, count, max_dim, budget):
+    """Seeded digraph complexes with an antiparallel pair and at most budget paths up to max_dim."""
+    made = 0
+    while made < count:
+        g = random_digraph(rng, 3, 6, allow_antiparallel=True)
+        if not any((v, u) in g.edge_set for u, v in g.edges):
+            u, v = rng.sample(range(g.n), 2)
+            g = Digraph(g.labels, tuple(sorted(set(g.edges) | {(u, v), (v, u)})))
+        P = path_complex_from_digraph(g, max_dim)
+        if sum(len(P.paths(n)) for n in range(max_dim + 1)) > budget:
+            continue
+        made += 1
+        yield g, P

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
 from mayerpath.complexes import Digraph, parse_digraph, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.fixtures import ALL_FIXTURES, load_digraph, load_fixture
+from mayerpath import linalg
 from mayerpath.homology import (
+    ImageEscapesAllowed,
     betti,
     betti_table,
     boundary_space,
@@ -178,6 +181,78 @@ def test_rank_core_equals_subspace_quotient_with_antiparallel_pairs():
         assert rank_side == quotient_side, (g, N)
         outcomes.append(rank_side == "rejected")
     assert any(outcomes) and not all(outcomes)
+
+
+def _table_or_refused(engine, P, N):
+    try:
+        return engine(P, N, 3)
+    except (NotASubspace, ImageEscapesAllowed):
+        return "refused"
+
+
+def test_certificates_stay_sound_under_the_least_prime(monkeypatch):
+    """With p the least prime = 1 (mod N), F_p ranks drop often; no Betti number may move.
+
+    Every rank the table used is classified from the memo: certified by
+    full rank (its F_p bound meets its cap), computed exactly (it is in
+    the exact memo), or else certified by beta = 0.
+    """
+    from conftest import antiparallel_complexes
+
+    monkeypatch.setattr(linalg, "_modulus", lambda N: linalg._prime_root(N, 1))
+    assert [linalg._modulus(N)[0] for N in (2, 3, 4, 5)] == [3, 7, 5, 11]
+    cases = [(load_fixture(name), N) for name in ALL_FIXTURES for N in (2, 3, 4, 5)]
+    rng = random.Random(1)
+    cases += [(P, 2 + i % 4) for i, (_, P) in enumerate(antiparallel_complexes(rng, 40, 7, 150))]
+    kinds = Counter()
+    for P, N in cases:
+        got = _table_or_refused(betti_table, P, N)
+        assert got == _table_or_refused(brute_force_oracle, P, N), (P.digest(), N)
+        kinds["refused" if got == "refused" else "table"] += 1
+        if got == "refused":
+            continue
+        for key, bound in P._memo.items():
+            if key[0] == "rank_bound" and key[3] == N:
+                if bound.low == bound.cap:
+                    kinds["full rank"] += 1
+                elif ("image_rank", *key[1:]) in P._memo:
+                    kinds["exact"] += 1
+                else:
+                    kinds["beta = 0"] += 1
+    assert all(kinds[k] for k in ("table", "refused", "full rank", "beta = 0", "exact")), kinds
+
+
+def test_any_lower_bound_gives_the_same_table(monkeypatch):
+    """F_p bounds replaced by seeded random lower bounds, or by none at all.
+
+    The least primes above drop no rank on that corpus, so this is where
+    a bound below the rank, and a missing bound, reach the certificates.
+    """
+    from conftest import antiparallel_complexes
+    from mayerpath import omega
+
+    graphs = [g for g, _ in antiparallel_complexes(random.Random(1), 40, 7, 150)]
+    cases = [(lambda name=name: load_fixture(name), N)
+             for name in ALL_FIXTURES for N in (2, 3, 4, 5)]
+    cases += [(lambda g=g: path_complex_from_digraph(g, 3), 2 + i % 4)
+              for i, g in enumerate(graphs)]
+    expected = [_table_or_refused(betti_table, make(), N) for make, N in cases]
+    rng = random.Random(77)
+    true_rank_mod = omega.rank_mod
+    seen = Counter()
+
+    def lowered(rows, N):
+        if rng.random() < 0.2:
+            seen["none"] += 1
+            return None
+        bound = true_rank_mod(rows, N)
+        low = rng.randint(0, bound)
+        seen["below" if low < bound else "equal"] += 1
+        return low
+
+    monkeypatch.setattr(omega, "rank_mod", lowered)
+    assert [_table_or_refused(betti_table, make(), N) for make, N in cases] == expected
+    assert all(seen[k] for k in ("none", "below", "equal")), seen
 
 
 def test_double_edge_homology_is_rejected_beyond_order_two():

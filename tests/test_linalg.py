@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mayerpath import linalg
+from mayerpath.cli import MAX_ORDER
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.linalg import (
     AmbientMismatch,
@@ -15,6 +18,7 @@ from mayerpath.linalg import (
     nullspace,
     quotient_dim,
     rank,
+    rank_mod,
 )
 
 
@@ -206,6 +210,63 @@ def test_nullspace_matches_rref_reference_random():
                     product[r] = product[r] + v * vec[c]
                 assert not any(product)
         assert all(shapes.values()), (N, shapes)
+
+
+def _trial_division_prime(n):
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_modulus_is_a_prime_with_a_primitive_root_of_unity_for_every_order():
+    for N in range(2, MAX_ORDER + 1):
+        p, w = linalg._modulus(N)
+        assert 2 ** 31 < p < 2 ** 32, N
+        assert _trial_division_prime(p), N
+        assert p % N == 1, N
+        assert pow(w, N, p) == 1, N
+        for f in range(2, N + 1):
+            if N % f == 0 and _trial_division_prime(f):
+                assert pow(w, N // f, p) != 1, (N, f)
+        assert linalg._prime_root(N, 2 ** 31) == (p, w)
+
+
+def test_rank_mod_falls_back_on_a_denominator_divisible_by_p():
+    for N in (2, 3, 5):
+        p, _ = linalg._modulus(N)
+        one = Scalar.one(N)
+        over_p = Scalar.from_rational(N, Fraction(1, p))
+        assert rank_mod([{0: one}, {1: over_p}], N) is None
+        # a denominator p on a zeta coefficient counts as well
+        assert rank_mod([{0: zeta_power(N, 1) * Fraction(3, 2 * p)}], N) is None
+        # denominators prime to p map into F_p
+        assert rank_mod([{0: Scalar.from_rational(N, Fraction(1, p + 1))}], N) == 1
+
+
+def test_rank_mod_never_exceeds_the_exact_rank(monkeypatch):
+    """Seeded Q(zeta_N) matrices with rational rows, under the real prime and the least one."""
+    seen = {"equal full": 0, "equal deficient": 0, "below": 0}
+    for least in (False, True):
+        if least:
+            monkeypatch.setattr(linalg, "_modulus", lambda N: linalg._prime_root(N, 1))
+        rng = random.Random(31)
+        for N in (2, 3, 4, 5, 6):
+            for _ in range(30):
+                cols = rng.randint(1, 7)
+                rows = rng.randint(1, 9)
+                m = _random_matrix(rng, N, rows, cols, rng.randint(1, min(rows, cols) + 1))
+                scale = [Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3, 5, 7)))
+                         for _ in range(rows)]
+                rows_of = [{c: v * scale[r] for c, v in row.items()}
+                           for r, row in enumerate(m.row_dicts())]
+                exact = rank(dict(row) for row in rows_of)
+                snapshot = [dict(row) for row in rows_of]
+                bound = rank_mod(rows_of, N)
+                assert rows_of == snapshot  # only read
+                assert bound is None or bound <= exact, (least, N, rows_of)
+                if bound is not None and bound < exact:
+                    seen["below"] += 1
+                elif bound == exact:
+                    seen["equal full" if exact == min(rows, cols) else "equal deficient"] += 1
+    assert all(seen.values()), seen
 
 
 def _random_vectors(rng, N, ambient, count):

@@ -193,23 +193,6 @@ def test_order_two_matches_classical_path_homology_omega():
             _classical_omega_dims(g, 3)
 
 
-def _antiparallel_complexes(rng, count, max_dim, budget):
-    """Seeded digraph complexes with an antiparallel pair and at most budget paths up to max_dim."""
-    from conftest import random_digraph
-
-    made = 0
-    while made < count:
-        g = random_digraph(rng, 3, 6, allow_antiparallel=True)
-        if not any((v, u) in g.edge_set for u, v in g.edges):
-            u, v = rng.sample(range(g.n), 2)
-            g = Digraph(g.labels, tuple(sorted(set(g.edges) | {(u, v), (v, u)})))
-        P = path_complex_from_digraph(g, max_dim)
-        if sum(len(P.paths(n)) for n in range(max_dim + 1)) > budget:
-            continue
-        made += 1
-        yield g, P
-
-
 # -- references for the three `check` invariants, from single boundary steps
 
 
@@ -288,11 +271,13 @@ def test_check_invariants_match_references_with_antiparallel_pairs():
     regular-span one steps through non-allowed paths too, so it deletes
     faces itself.
     """
+    from conftest import antiparallel_complexes
+
     rng = random.Random(532)
     max_dim = 5
     seen = {"omega_nilpotency": set(), "verify_chain_closure": set(),
             "verify_nilpotency": set()}
-    for g, P in _antiparallel_complexes(rng, 40, max_dim, 250):
+    for g, P in antiparallel_complexes(rng, 40, max_dim, 250):
         for N in (2, 3, 4, 5):
             got = omega_nilpotency(P, N, max_dim)
             assert got == _reference_nilpotency(P, N, max_dim), (g, N)
@@ -321,9 +306,11 @@ def _stacked_reference(P, n, N):
 
 def test_level_one_equals_single_level_space():
     """The rational level-1 solve (peel, then Q) against the Q(zeta_N) kernel of d^1."""
+    from conftest import antiparallel_complexes
+
     rng = random.Random(606)
     complexes = [load_fixture(name) for name in ALL_FIXTURES]
-    complexes += [P for _, P in _antiparallel_complexes(rng, 40, 6, 300)]
+    complexes += [P for _, P in antiparallel_complexes(rng, 40, 6, 300)]
     kinds = set()
     for P in complexes:
         for N in range(2, 7):
@@ -339,9 +326,11 @@ def test_level_one_equals_single_level_space():
 
 def test_omega_full_equals_stacked_reference():
     """The level recursion against one elimination of every boundary power's rows."""
+    from conftest import antiparallel_complexes
+
     rng = random.Random(707)
     complexes = [load_fixture(name) for name in ALL_FIXTURES]
-    complexes += [P for _, P in _antiparallel_complexes(rng, 30, 6, 200)]
+    complexes += [P for _, P in antiparallel_complexes(rng, 30, 6, 200)]
     cut_by_higher_levels = 0
     for P in complexes:
         for N in range(2, 6):
