@@ -4,7 +4,7 @@
 Case i draws from ``random.Random(i)`` a digraph on 3-11 vertices, with
 antiparallel pairs allowed in every odd case, at N = 2 + (i // 2) % 4,
 and redraws until the paths of the dimensions the table reads
-(0 .. max_dim + N - 1) number at most ``--budget``.  Each line holds the
+(0 .. max_dim + N - 1) number at most BUDGET.  Each line holds the
 case, then the sha256 of the table's JSON, or ``refused`` where
 ``betti_table`` raises ``NotASubspace``.  The library is imported from
 the checkout's ``src/``, so two checkouts compare with ``diff``:
@@ -26,9 +26,11 @@ import sys
 from pathlib import Path
 
 MAX_DIM = 3
+COUNT = 340
+BUDGET = 4000
 
 
-def case(i: int, budget: int, Digraph, path_complex_from_digraph):
+def case(i: int, Digraph, path_complex_from_digraph):
     """(digraph, N) of case i."""
     rng = random.Random(i)
     antiparallel = i % 2 == 1
@@ -45,7 +47,7 @@ def case(i: int, budget: int, Digraph, path_complex_from_digraph):
                     present.add((u, v))
         g = Digraph(tuple(str(k + 1) for k in range(n)), tuple(edges))
         P = path_complex_from_digraph(g, MAX_DIM)
-        if sum(len(P.paths(d)) for d in range(MAX_DIM + N)) <= budget:
+        if sum(len(P.paths(d)) for d in range(MAX_DIM + N)) <= BUDGET:
             return g, N
 
 
@@ -54,9 +56,6 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout to sweep (default: the one holding this script)")
-    parser.add_argument("--count", type=int, default=340, help="number of cases")
-    parser.add_argument("--budget", type=int, default=4000,
-                        help="most paths a case may have in the dimensions the table reads")
     args = parser.parse_args()
     src = args.root.resolve() / "src"
     sys.path.insert(0, str(src))
@@ -68,8 +67,8 @@ def main() -> int:
     if Path(mayerpath.__file__).resolve().parent != src / "mayerpath":
         raise SystemExit(f"error: imported mayerpath from {mayerpath.__file__}")
     refused = 0
-    for i in range(args.count):
-        g, N = case(i, args.budget, Digraph, path_complex_from_digraph)
+    for i in range(COUNT):
+        g, N = case(i, Digraph, path_complex_from_digraph)
         try:
             table = betti_table(path_complex_from_digraph(g, MAX_DIM), N, MAX_DIM)
             text = json.dumps(table.to_json_dict(), sort_keys=True)
@@ -78,7 +77,7 @@ def main() -> int:
             result = "refused"
             refused += 1
         print(f"{i} vertices={g.n} edges={len(g.edges)} N={N} {result}", flush=True)
-    print(f"{args.count} cases; {args.count - refused} tables, {refused} refused",
+    print(f"{COUNT} cases; {COUNT - refused} tables, {refused} refused",
           file=sys.stderr)
     return 0
 

@@ -27,10 +27,10 @@ Q(zeta_N), under either of two certificates:
   When the two lower bounds already sum to dim Omega_n, both are
   attained, so both ranks are certified (and beta_n^{N,q} = 0).
 
-``betti_table`` certifies over the whole grid before it eliminates
-anything, since a rank appears in two pairs; the ranks left go through
-the exact ``omega._image_rank``.  So every Betti number is still a
-certified rank.
+A certified rank is entered in the memo of ``omega._image_rank``, which
+eliminates over Q(zeta_N) only the ranks left.  ``betti_table``
+certifies over the whole grid before it reads any rank, since a rank
+appears in two pairs.  So every Betti number is still a certified rank.
 """
 
 from __future__ import annotations
@@ -70,14 +70,15 @@ def boundary_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
     return Subspace.from_spanning(vectors, ambient, N)
 
 
-def _certify(P: PathComplex, n: int, q: int, N: int, known: dict) -> None:
-    """Check containment for the pair (n, q), then enter the ranks it certifies in known.
+def _certify(P: PathComplex, n: int, q: int, N: int) -> None:
+    """Check containment for the pair (n, q), then enter the ranks it certifies.
 
-    ``known`` maps (m, r) to rank(d^r | Omega_m); the certificates are in
-    the module docstring.  For n >= q, B is inside Z only when d^N
-    vanishes on Omega_m, m = n+N-q (see ``betti``), and the quotient is
-    undefined otherwise.  For n < q, d^N x lies in dimension n - q < 0
-    and is 0.
+    A certified rank is the exact rank, so it goes into the memo of
+    ``omega._image_rank``, which then eliminates over Q(zeta_N) only the
+    ranks left; the certificates are in the module docstring.  For
+    n >= q, B is inside Z only when d^N vanishes on Omega_m, m = n+N-q
+    (see ``betti``), and the quotient is undefined otherwise.  For n < q,
+    d^N x lies in dimension n - q < 0 and is 0.
     """
     m = n + N - q
     a = _rank_bound(P, n, q, N)
@@ -87,18 +88,10 @@ def _certify(P: PathComplex, n: int, q: int, N: int, known: dict) -> None:
             f"the chain-complex invariant d^q d^(N-q) = 0 failed upstream"
         )
     b = _rank_bound(P, m, N - q, N)
-    for key, bound in (((n, q), a), ((m, N - q), b)):
-        if bound.low == bound.cap:
-            known[key] = bound.low
-    if None not in (a.low, b.low) and a.low + b.low == omega_full(P, n, N).space.dim:
-        known[(n, q)], known[(m, N - q)] = a.low, b.low
-
-
-def _betti(P: PathComplex, n: int, q: int, N: int, known: dict) -> int:
-    """beta_n^{N,q} from the certified ranks in known, the others by exact elimination."""
-    ranks = [known[key] if key in known else _image_rank(P, *key, N)
-             for key in ((n, q), (n + N - q, N - q))]
-    return omega_full(P, n, N).space.dim - sum(ranks)
+    beta_zero = None not in (a.low, b.low) and a.low + b.low == omega_full(P, n, N).space.dim
+    for (k, r), bound in (((n, q), a), ((m, N - q), b)):
+        if beta_zero or bound.low == bound.cap:
+            P._memo[("image_rank", k, r, N)] = bound.low
 
 
 def betti(P: PathComplex, n: int, q: int, N: int) -> int:
@@ -125,9 +118,9 @@ def betti(P: PathComplex, n: int, q: int, N: int) -> int:
     """
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")
-    known: dict = {}
-    _certify(P, n, q, N, known)
-    return _betti(P, n, q, N, known)
+    _certify(P, n, q, N)
+    m = n + N - q
+    return omega_full(P, n, N).space.dim - _image_rank(P, n, q, N) - _image_rank(P, m, N - q, N)
 
 
 @dataclass
@@ -172,10 +165,9 @@ class BettiTable:
 def betti_table(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
     """Every beta_n^{N,q}, n <= max_dim, certified over the whole grid before any exact rank."""
     grid = [(n, q) for n in range(max_dim + 1) for q in range(1, N)]
-    known: dict = {}
     for n, q in grid:
-        _certify(P, n, q, N, known)
-    entries = {(n, q): _betti(P, n, q, N, known) for n, q in grid}
+        _certify(P, n, q, N)
+    entries = {(n, q): betti(P, n, q, N) for n, q in grid}
     omega_dims = {n: omega_full(P, n, N).space.dim for n in range(max_dim + 1)}
     return BettiTable(N, max_dim, entries, omega_dims, P.digest())
 

@@ -35,8 +35,9 @@ minor over F_p lifts to a nonzero minor over Q(zeta_N), next to the upper
 bound min(nonzero images, allowed (m-r)-paths); where the two meet, the
 rank is certified (the full-rank certificate).  The second certificate,
 beta = 0, pairs the bounds of two ranks and rests on the d^N record (see
-``homology``).  ``_image_rank`` holds the rank by exact elimination over
-Q(zeta_N), asked for only where neither certificate holds.
+``homology``).  ``_image_rank`` holds the rank: ``homology`` enters each
+certified bound there, and the ranks no certificate reaches are found
+by exact elimination over Q(zeta_N).
 
 Boundary powers d^q with q > 1 are assembled only for the single-level
 spaces of ``omega_nq`` and for the regular-span check
@@ -335,7 +336,7 @@ def _rank_bound(P: PathComplex, m: int, r: int, N: int) -> _RankBound:
 
 
 def _image_rank(P: PathComplex, m: int, r: int, N: int) -> int:
-    """rank(d^r | Omega_m^N), by exact elimination over Q(zeta_N)."""
+    """rank(d^r | Omega_m^N): certified from its F_p bound, else by exact elimination."""
     key = ("image_rank", m, r, N)
     cached = P._memo.get(key)
     if cached is None:

@@ -193,32 +193,40 @@ def _table_or_refused(engine, P, N):
 def test_certificates_stay_sound_under_the_least_prime(monkeypatch):
     """With p the least prime = 1 (mod N), F_p ranks drop often; no Betti number may move.
 
-    Every rank the table used is classified from the memo: certified by
-    full rank (its F_p bound meets its cap), computed exactly (it is in
-    the exact memo), or else certified by beta = 0.
+    Every rank the table used is classified: certified by full rank (its
+    F_p bound meets its cap), computed exactly (a call of the exact
+    ``rank``), or else certified by beta = 0.
     """
     from conftest import antiparallel_complexes
+    from mayerpath import omega
 
     monkeypatch.setattr(linalg, "_modulus", lambda N: linalg._prime_root(N, 1))
     assert [linalg._modulus(N)[0] for N in (2, 3, 4, 5)] == [3, 7, 5, 11]
+    exact_rank = omega.rank
+    kinds = Counter()
+
+    def counted(rows):
+        kinds["exact"] += 1
+        return exact_rank(rows)
+
+    monkeypatch.setattr(omega, "rank", counted)
     cases = [(load_fixture(name), N) for name in ALL_FIXTURES for N in (2, 3, 4, 5)]
     rng = random.Random(1)
     cases += [(P, 2 + i % 4) for i, (_, P) in enumerate(antiparallel_complexes(rng, 40, 7, 150))]
-    kinds = Counter()
     for P, N in cases:
+        exact_before = kinds["exact"]
         got = _table_or_refused(betti_table, P, N)
         assert got == _table_or_refused(brute_force_oracle, P, N), (P.digest(), N)
         kinds["refused" if got == "refused" else "table"] += 1
         if got == "refused":
             continue
-        for key, bound in P._memo.items():
-            if key[0] == "rank_bound" and key[3] == N:
-                if bound.low == bound.cap:
-                    kinds["full rank"] += 1
-                elif ("image_rank", *key[1:]) in P._memo:
-                    kinds["exact"] += 1
-                else:
-                    kinds["beta = 0"] += 1
+        bounds = [bound for key, bound in P._memo.items()
+                  if key[0] == "rank_bound" and key[3] == N]
+        full = sum(bound.low == bound.cap for bound in bounds)
+        kinds["full rank"] += full
+        exact = kinds["exact"] - exact_before
+        assert full + exact <= len(bounds), (P.digest(), N)
+        kinds["beta = 0"] += len(bounds) - full - exact
     assert all(kinds[k] for k in ("table", "refused", "full rank", "beta = 0", "exact")), kinds
 
 
