@@ -10,9 +10,11 @@ variants matter:
 
 Powers of the regular operator are computed by iterating it through the
 full regular span, so intermediate irregular faces are dropped at every
-step, not only at the end.  ``BoundaryMatrix`` is the one way the library
-applies them; the free operator below exists only to check the paper's
-closed form.
+step, not only at the end.  ``faces`` enumerates the faces of d^1 once
+per dimension, for every N; the Betti path applies it over Z[zeta_N]
+(``omega._images``), and ``BoundaryMatrix`` is the library's matrix of a
+power over Q(zeta_N), read off ``faces`` for d^1.  The free operator
+below exists only to check the paper's closed form.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import PathComplex, Path, face
-from .cyclotomic import Scalar, q_factorial, zeta_power
+from .cyclotomic import Scalar, integer_powers, q_factorial, zeta_power
 from .linalg import Matrix, Row, Subspace
 
 Chain = dict[Path, Scalar]
@@ -132,14 +135,52 @@ def _group_ring_power(p: Path, q: int, N: int) -> dict[Path, list[int]]:
     return chain
 
 
+class Faces(NamedTuple):
+    """The faces of d = d^1 on the allowed n-paths, the same for every N.
+
+    Rows are every allowed (n-1)-path, then the non-allowed regular
+    paths reached, both lexicographically.  ``columns[c]`` lists the
+    (row, j) pairs of the c-th allowed n-path: deleting position j gives
+    that row's path, so the entry there is zeta^j.  A regular path has
+    no two deletions with the same face (that needs equal consecutive
+    vertices), so every entry is a single root of unity.
+    """
+
+    row_paths: tuple[Path, ...]
+    allowed_rows: int
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def faces(P: PathComplex, n: int) -> Faces:
+    """The d^1 faces of the allowed n-paths, n >= 1 (see ``Faces``), made once per n."""
+    key = ("faces", n)
+    cached = P._memo.get(key)
+    if cached is not None:
+        return cached
+    cols = P.paths(n)
+    allowed = P.paths(n - 1)
+    index = {p: i for i, p in enumerate(allowed)}
+    reached: list[list[tuple[Path, int]]] = []
+    for p in cols:
+        last = len(p) - 1
+        reached.append([(p[:j] + p[j + 1:], j) for j in range(last + 1)
+                        if not (0 < j < last and p[j - 1] == p[j + 1])])
+    extras = sorted({f for col in reached for f, _ in col if f not in index})
+    index.update((f, len(allowed) + i) for i, f in enumerate(extras))
+    columns = tuple(tuple((index[f], j) for f, j in col) for col in reached)
+    cached = P._memo[key] = Faces(tuple(allowed) + tuple(extras), len(allowed), columns)
+    return cached
+
+
 def boundary_power_matrix(P: PathComplex, n: int, q: int, N: int) -> BoundaryMatrix:
     """Assemble the matrix of the q-th power of the regular boundary.
 
-    Each column's power is summed over the integer group ring (see
+    For q = 1 the entries are read off ``faces``.  For q > 1 each
+    column's power is summed over the integer group ring (see
     ``_group_ring_power``) and only the entries left at the end are
     mapped into Q(zeta_N), through x^k -> zeta^k (integer vectors, as
-    Phi_N is monic), once per distinct integer vector.  Columns are built one at a time, so only the
-    finished entries stay alive.
+    Phi_N is monic), once per distinct integer vector.  Columns are built
+    one at a time, so only the finished entries stay alive.
     """
     if q < 1:
         raise ValueError("power must be >= 1")
@@ -154,7 +195,15 @@ def boundary_power_matrix(P: PathComplex, n: int, q: int, N: int) -> BoundaryMat
         P._memo[key] = result
         return result
 
-    powers = [tuple(int(c) for c in zeta_power(N, k).coeffs) for k in range(N)]
+    if q == 1:
+        table = faces(P, n)
+        entries = {(r, c): zeta_power(N, j) for c, col in enumerate(table.columns)
+                   for r, j in col}
+        result = BoundaryMatrix(n, 1, N, cols, table.row_paths, table.allowed_rows, entries)
+        P._memo[key] = result
+        return result
+
+    powers = integer_powers(N)
     phi = len(powers[0])
     scalars: dict[tuple[int, ...], Scalar | None] = {}
 

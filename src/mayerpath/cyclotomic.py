@@ -77,26 +77,35 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_order for k = 0 .. max(2*phi-2, order), as phi-vectors."""
+def integer_powers(order: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_order as phi(order) integers, for k = 0 .. max(2*phi-2, order+phi-1).
+
+    Phi_order is monic, so every remainder is integral.  Row i + j is
+    zeta^i * zeta^j, so multiplying an element of Z[zeta_order] by zeta^j,
+    0 <= j < order, needs only rows j .. j+phi-1.
+    """
     phi = euler_phi(order)
-    mod = cyclotomic_polynomial(order)
-    # x^phi = -(mod[0] + mod[1] x + ... + mod[phi-1] x^{phi-1}); Phi is monic.
-    top = [Fraction(-c) for c in mod[:phi]]
-    table: list[tuple[Fraction, ...]] = []
-    for k in range(max(2 * phi - 1, order + 1)):
+    # x^phi = -(mod[0] + mod[1] x + ... + mod[phi-1] x^{phi-1}).
+    top = [-c for c in cyclotomic_polynomial(order)[:phi]]
+    table: list[tuple[int, ...]] = []
+    for k in range(max(2 * phi - 1, order + phi)):
         if k < phi:
-            row = [_F0] * phi
-            row[k] = _F1
+            row = [0] * phi
+            row[k] = 1
         else:
             prev = table[k - 1]
-            shifted = [_F0] + list(prev[: phi - 1])
+            row = [0] + list(prev[: phi - 1])
             carry = prev[phi - 1]
             if carry:
-                shifted = [s + carry * t for s, t in zip(shifted, top)]
-            row = shifted
+                row = [s + carry * t for s, t in zip(row, top)]
         table.append(tuple(row))
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
+    """``integer_powers`` as Fractions, the reduction table of ``Scalar`` products."""
+    return tuple(tuple(Fraction(c) for c in row) for row in integer_powers(order))
 
 
 class Scalar:

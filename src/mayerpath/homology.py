@@ -14,38 +14,41 @@ error instead of reporting meaningless dimensions.  ``cycle_space`` and
 ``boundary_space`` build the two subspaces from the same images, as
 diagnostics.
 
-Each rank is first taken over F_p (``omega._rank_bound``), a lower bound:
-every nonzero minor over F_p lifts to a nonzero minor over Q(zeta_N)
-(see ``linalg``).  A bound is the rank, with no elimination over
-Q(zeta_N), under either of two certificates:
-
-* full rank: it equals min(nonzero images, allowed paths they are
-  written in), an upper bound of the rank;
-* beta = 0: for the pair (n, q), with a = rank(d^q | Omega_n) and
-  b = rank(d^(N-q) | Omega_(n+N-q)), the containment B in Z, checked
-  exactly first, gives a + b = dim Omega_n - dim Z + dim B <= dim Omega_n.
-  When the two lower bounds already sum to dim Omega_n, both are
-  attained, so both ranks are certified (and beta_n^{N,q} = 0).
-
-A certified rank is entered in the memo of ``omega._image_rank``, which
-eliminates over Q(zeta_N) only the ranks left.  ``betti_table``
-certifies over the whole grid before it reads any rank, since a rank
-appears in two pairs.  So every Betti number is still a certified rank.
+Each rank is taken over the ring of integers Z[zeta_N]
+(``omega._image_rank``, ``linalg.certified_rank``): the images of the
+basis rows, scaled to have integral entries, are ranked over F_p at
+successive primes p = 1 (mod N) above 2^31, and the largest rank r is
+kept.  Every F_p rank is a lower bound, since a nonzero minor over F_p
+lifts to a nonzero minor.  Any (r+1)-minor M vanishes modulo each prime
+ideal (p, zeta - w) used, so the product of the primes divides the
+integer Norm(M), while Hadamard's inequality bounds |Norm(M)| by
+(prod of the r+1 largest s_i)^(phi(N)/2), s_i = sum_j ||a_ij||_1^2 over
+a row.  The primes stop once their squared product exceeds
+(prod of those s_i)^phi(N); then M = 0 and r is the rank.  So every
+Betti number is a certified rank, with no elimination over Q(zeta_N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .complexes import PathComplex
 from .cyclotomic import Scalar, zeta_power
-from .linalg import NotASubspace, Subspace
-from .omega import (_image_rank, _images, _kernel_within, _nth_power_record, _rank_bound,
+from .linalg import NotASubspace, Row, Subspace
+from .omega import (_image_rank, _images, _integer_basis, _kernel_within, _nth_power_record,
                     omega_full)
 
 
 class ImageEscapesAllowed(ValueError):
     """A boundary image of an invariant chain left the allowed span."""
+
+
+def _exact_images(P: PathComplex, m: int, r: int, N: int) -> list[Row]:
+    """d^r of the Omega_m^N basis in Q(zeta_N): the integer images over their row scales."""
+    scales = _integer_basis(P, m, N)[1]
+    return [{c: Scalar(N, tuple(Fraction(a, s) for a in t)) for c, t in y.items()}
+            for y, s in zip(_images(P, m, N)[r - 1], scales)]
 
 
 def cycle_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
@@ -56,7 +59,7 @@ def cycle_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
     """
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")
-    return _kernel_within(omega_full(P, n, N).space, _images(P, n, N)[q - 1])
+    return _kernel_within(omega_full(P, n, N).space, _exact_images(P, n, q, N))
 
 
 def boundary_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
@@ -66,32 +69,23 @@ def boundary_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
     ambient = len(P.paths(n))
     zero = Scalar.zero(N)
     vectors = [tuple(y.get(i, zero) for i in range(ambient))
-               for y in _images(P, n + N - q, N)[N - q - 1]]
+               for y in _exact_images(P, n + N - q, N - q, N)]
     return Subspace.from_spanning(vectors, ambient, N)
 
 
-def _certify(P: PathComplex, n: int, q: int, N: int) -> None:
-    """Check containment for the pair (n, q), then enter the ranks it certifies.
+def _check_containment(P: PathComplex, n: int, q: int, N: int) -> None:
+    """Raise ``NotASubspace`` where the boundaries of the pair (n, q) escape its cycles.
 
-    A certified rank is the exact rank, so it goes into the memo of
-    ``omega._image_rank``, which then eliminates over Q(zeta_N) only the
-    ranks left; the certificates are in the module docstring.  For
-    n >= q, B is inside Z only when d^N vanishes on Omega_m, m = n+N-q
-    (see ``betti``), and the quotient is undefined otherwise.  For n < q,
-    d^N x lies in dimension n - q < 0 and is 0.
+    For n >= q, B is inside Z only when d^N vanishes on Omega_m,
+    m = n+N-q (see ``betti``), and the quotient is undefined otherwise.
+    For n < q, d^N x lies in dimension n - q < 0 and is 0.
     """
     m = n + N - q
-    a = _rank_bound(P, n, q, N)
     if n >= q and not _nth_power_record(P, m, N).vanishes:
         raise NotASubspace(
             f"d^{N} does not vanish on Omega_{m}, so boundaries escape cycles; "
             f"the chain-complex invariant d^q d^(N-q) = 0 failed upstream"
         )
-    b = _rank_bound(P, m, N - q, N)
-    beta_zero = None not in (a.low, b.low) and a.low + b.low == omega_full(P, n, N).space.dim
-    for (k, r), bound in (((n, q), a), ((m, N - q), b)):
-        if beta_zero or bound.low == bound.cap:
-            P._memo[("image_rank", k, r, N)] = bound.low
 
 
 def betti(P: PathComplex, n: int, q: int, N: int) -> int:
@@ -111,14 +105,14 @@ def betti(P: PathComplex, n: int, q: int, N: int) -> int:
       every r >= q too, so y lies in Omega_n and in ker d^q: B is in Z.
     * Conversely, if B is in Z, then d^N x = d^q y = 0 for every x.
 
-    The check is read once per m from the d^N record (see ``_certify``);
-    when it fails the quotient is undefined and ``NotASubspace`` is
-    raised.  The ranks are certified F_p ranks where a certificate holds
-    (see the module docstring) and exact ones otherwise.
+    The check is read once per m from the d^N record (see
+    ``_check_containment``); when it fails the quotient is undefined and
+    ``NotASubspace`` is raised.  The ranks are certified over Z[zeta_N]
+    (see the module docstring).
     """
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")
-    _certify(P, n, q, N)
+    _check_containment(P, n, q, N)
     m = n + N - q
     return omega_full(P, n, N).space.dim - _image_rank(P, n, q, N) - _image_rank(P, m, N - q, N)
 
@@ -163,11 +157,8 @@ class BettiTable:
 
 
 def betti_table(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
-    """Every beta_n^{N,q}, n <= max_dim, certified over the whole grid before any exact rank."""
-    grid = [(n, q) for n in range(max_dim + 1) for q in range(1, N)]
-    for n, q in grid:
-        _certify(P, n, q, N)
-    entries = {(n, q): betti(P, n, q, N) for n, q in grid}
+    """Every beta_n^{N,q}, n <= max_dim."""
+    entries = {(n, q): betti(P, n, q, N) for n in range(max_dim + 1) for q in range(1, N)}
     omega_dims = {n: omega_full(P, n, N).space.dim for n in range(max_dim + 1)}
     return BettiTable(N, max_dim, entries, omega_dims, P.digest())
 

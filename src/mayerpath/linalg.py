@@ -1,33 +1,50 @@
 """Exact linear algebra over Q(zeta_N): ranks, nullspaces, subspace lattice ops.
 
-Matrices are sparse maps (row, col) -> Scalar.  ``rank`` and
-``nullspace`` share one forward elimination that takes the rows one at a
-time and keeps only the pivot rows; ``nullspace`` stops it at full column
-rank and back-substitutes among the pivot rows only when a free column
-is left.  ``rank_mod`` runs the same elimination over F_p, for one fixed
-prime p = 1 (mod N) per order (``_modulus``), and gives a certified lower
-bound of the rank: zeta goes to an element w of order exactly N, so
-Phi_N(w) = 0 and x -> w is a ring map from the Q(zeta_N) elements whose
-denominators p does not divide onto F_p.  It commutes with determinants,
-so a nonzero r x r minor over F_p is the image of a nonzero r x r minor
-over Q(zeta_N), and the rank over Q(zeta_N) is at least the rank over
-F_p.  Where an entry's denominator is a multiple of p there is no image,
-and ``rank_mod`` returns None.  The two ways a bound becomes the rank are
-in ``homology``.  ``Subspace.from_spanning`` and ``intersect`` run
-Gauss-Jordan with a fixed pivot rule (first row with a nonzero entry,
-scanning columns left to right).  The RREF of a row space is unique, so
-every emitted basis is reproducible.  Subspaces are stored as reduced
-row echelon bases, which makes the representation canonical: two
-subspaces are equal iff their stored rows are identical.
+Matrices are sparse maps (row, col) -> Scalar.  ``nullspace`` runs one
+forward elimination that takes the rows one at a time, keeps only the
+pivot rows, stops at full column rank and back-substitutes among the
+pivot rows only when a free column is left.  ``Subspace.from_spanning``
+and ``intersect`` run Gauss-Jordan with a fixed pivot rule (first row
+with a nonzero entry, scanning columns left to right).  The RREF of a
+row space is unique, so every emitted basis is reproducible.  Subspaces
+are stored as reduced row echelon bases, which makes the representation
+canonical: two subspaces are equal iff their stored rows are identical.
+
+``certified_rank`` ranks rows over the ring of integers Z[zeta_N], each
+entry a tuple of phi(N) ints in the power basis, with no arithmetic in
+Q(zeta_N).  It takes ranks over F_p at successive primes p = 1 (mod N)
+above 2^31 (``_modulus``), sending zeta to an element w of order
+exactly N.  Then Phi_N(w) = 0 in F_p, and a -> a(w) is the reduction
+modulo the prime ideal (p, zeta - w) of norm p.
+
+* A lower bound.  Reduction commutes with determinants, so a nonzero
+  minor over F_p is the image of a nonzero minor: each F_p rank is at
+  most the rank, and so is the largest one seen, r.
+* The certificate.  Let t = r + 1 and s_i = sum_j ||a_ij||_1^2 for row
+  i, with ||a||_1 the sum of the absolute values of a's phi(N)
+  coefficients.  Take any t x t minor M.  It vanishes modulo every
+  prime ideal used, so the product of the primes divides Norm(M), the
+  product of M's phi(N) complex embeddings.  Each embedding sends an
+  entry a to a complex number of modulus at most ||a||_1, so by
+  Hadamard's inequality each embedded M has modulus at most the product
+  of sqrt(s_i) over its rows, and |Norm(M)| <= (prod of the t largest
+  s_i)^(phi(N)/2).  Once (prod p)^2 exceeds (prod of the t largest
+  s_i)^phi(N), the integer Norm(M) is a multiple of a larger integer,
+  so it is 0 and M = 0.  Every t-minor vanishes and the rank is r.  The
+  comparison is exact, in integers.
+* Where t exceeds the number of nonzero rows or of nonzero columns no
+  t-minor exists, and r is the rank at once.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .cyclotomic import Scalar, euler_phi
 
 Row = dict[int, Scalar]
+IntRow = dict[int, tuple[int, ...]]  # entries of Z[zeta_N], phi(N) ints in the power basis
 
 
 class AmbientMismatch(ValueError):
@@ -139,15 +156,6 @@ def _forward(rows, full: int | None = None) -> dict[int, Row]:
     return pivots
 
 
-def rank(rows) -> int:
-    """Rank of an iterable of sparse rows, by forward elimination.
-
-    The rows are consumed as in ``_forward``: one at a time, each reduced
-    in place.
-    """
-    return len(_forward(rows))
-
-
 def _is_prime(n: int) -> bool:
     """Miller-Rabin with the first twelve primes as bases, exact for n < 3.3 * 10^24."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -192,35 +200,22 @@ def _prime_root(order: int, floor: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _modulus(order: int) -> tuple[int, int]:
-    """The prime of ``rank_mod`` for Q(zeta_order), just above 2^31, and the image of zeta."""
-    return _prime_root(order, 2 ** 31)
+def _modulus(order: int, index: int) -> tuple[int, int]:
+    """The index-th prime above 2^31 with p = 1 (mod order), from 0, and the image of zeta."""
+    floor = 2 ** 31 if index == 0 else _modulus(order, index - 1)[0]
+    return _prime_root(order, floor)
 
 
-def rank_mod(rows, order: int) -> int | None:
-    """Rank over F_p of sparse rows over Q(zeta_order), a lower bound of their rank.
-
-    Each entry is mapped to F_p by zeta -> w (``_modulus``; the bound is
-    proved in the module docstring).  Returns None when an entry has a
-    coefficient whose denominator p divides.  The rows are only read.
-    """
-    p, w = _modulus(order)
-    powers = [pow(w, i, p) for i in range(euler_phi(order))]
+def rank_mod(rows: list[IntRow], p: int, w: int) -> int:
+    """Rank over F_p of Z[zeta] rows, with zeta -> w; the rows are only read."""
+    images: dict[tuple[int, ...], int] = {}
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         residue: dict[int, int] = {}
-        for c, s in row.items():
-            v = 0
-            for a, wi in zip(s.coeffs, powers):
-                if a:
-                    d = a.denominator
-                    if d == 1:
-                        v += a.numerator * wi
-                    elif d % p:
-                        v += a.numerator * wi * pow(d, -1, p)
-                    else:
-                        return None
-            v %= p
+        for c, a in row.items():
+            v = images.get(a)
+            if v is None:
+                v = images[a] = sum(x * pow(w, k, p) for k, x in enumerate(a) if x) % p
             if v:
                 residue[c] = v
         while residue:
@@ -238,6 +233,29 @@ def rank_mod(rows, order: int) -> int | None:
                 else:
                     del residue[k]
     return len(pivots)
+
+
+def certified_rank(rows: list[IntRow], order: int) -> int:
+    """Rank over Q(zeta_order) of Z[zeta_order] rows, certified (see the module docstring).
+
+    F_p ranks at successive primes, until the largest one r has no
+    (r+1)-minor left or the product of the primes outgrows the norm bound
+    of every (r+1)-minor.  The rows are only read.
+    """
+    rows = [row for row in rows if row]
+    cols = len({c for row in rows for c in row})
+    weights = sorted((sum(sum(map(abs, a)) ** 2 for a in row.values()) for row in rows),
+                     reverse=True)
+    phi = euler_phi(order)
+    rank, primes, index = 0, 1, 0
+    while True:
+        p, w = _modulus(order, index)
+        rank = max(rank, rank_mod(rows, p, w))
+        primes *= p
+        index += 1
+        t = rank + 1
+        if t > min(len(rows), cols) or primes ** 2 > math.prod(weights[:t]) ** phi:
+            return rank
 
 
 class Subspace:

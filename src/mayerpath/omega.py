@@ -25,19 +25,26 @@ or a non-allowed face reached by deleting two different positions,
 raises ``InvariantViolation``.
 
 On Omega_m^N every d^r x with r <= N-1 is allowed (see
-``homology.betti``), so d^r x is r applications of the d^1 matrices,
-each intermediate chain checked to be allowed, and d^N x one more
-(``_images``).
+``homology.betti``), so d^r x is r applications of d^1, each
+intermediate chain checked to be allowed, and d^N x one more
+(``_images``).  They run in the ring of integers Z[zeta_N]: each basis
+row of Omega_m^N is scaled by the lcm of its denominators
+(``_integer_basis``), an entry is a tuple of phi(N) ints in the power
+basis, and d^1 is the N-free table of ``boundary.faces``, whose entries
+are the units zeta^j; multiplying by zeta^j reads the int table
+``cyclotomic.integer_powers`` of x^k mod Phi_N.  Scaling a row scales
+its images and changes no rank.
 
-The rank of an image set has two memos.  ``_rank_bound`` holds its rank
-over F_p (``linalg.rank_mod``), a lower bound because every nonzero
-minor over F_p lifts to a nonzero minor over Q(zeta_N), next to the upper
-bound min(nonzero images, allowed (m-r)-paths); where the two meet, the
-rank is certified (the full-rank certificate).  The second certificate,
-beta = 0, pairs the bounds of two ranks and rests on the d^N record (see
-``homology``).  ``_image_rank`` holds the rank: ``homology`` enters each
-certified bound there, and the ranks no certificate reaches are found
-by exact elimination over Q(zeta_N).
+``_image_rank`` takes the rank of an image set with
+``linalg.certified_rank``: F_p ranks at successive primes p = 1 (mod N)
+above 2^31, zeta sent to an element w of order N, keeping the largest
+rank r.  Each is a lower bound.  Any (r+1)-minor M vanishes modulo every
+prime ideal (p, zeta - w) used, so the product of the primes divides the
+integer Norm(M); by Hadamard's inequality |Norm(M)| is at most
+(prod of the r+1 largest s_i)^(phi(N)/2), s_i = sum_j ||a_ij||_1^2.
+Once the squared product of the primes exceeds
+(prod of those s_i)^phi(N), M = 0 and the rank is r (details in
+``linalg``).  No rank of the Betti path is eliminated over Q(zeta_N).
 
 Boundary powers d^q with q > 1 are assembled only for the single-level
 spaces of ``omega_nq`` and for the regular-span check
@@ -46,14 +53,15 @@ spaces of ``omega_nq`` and for the regular-span check
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .boundary import boundary_power_matrix
+from .boundary import boundary_power_matrix, faces
 from .complexes import Path, PathComplex
-from .cyclotomic import Scalar
-from .linalg import (InvariantViolation, Matrix, Row, Subspace, _sub_scaled, nullspace, rank,
-                     rank_mod)
+from .cyclotomic import Scalar, euler_phi, integer_powers
+from .linalg import (InvariantViolation, IntRow, Matrix, Row, Subspace, _sub_scaled,
+                     certified_rank, nullspace)
 
 
 @dataclass
@@ -274,21 +282,75 @@ class _NthPower(NamedTuple):
     allowed: bool
 
 
-def _boundary(P: PathComplex, n: int, N: int, chains: list[Row]) -> tuple[list[Row], bool]:
-    """d of allowed n-chains, and whether any image left the allowed span."""
-    if n < 0:
+def _integer_basis(P: PathComplex, m: int, N: int) -> tuple[list[IntRow], list[int]]:
+    """The Omega_m^N basis rows over Z[zeta_N], each scaled by the lcm of its denominators.
+
+    Returns the rows and their scales.  A space of level 1 comes straight
+    from the rational rows of ``_ordinary_omega``, level 0 is the unit
+    rows; only a space of level >= 2 is read off its Q(zeta_N) basis.
+    """
+    key = ("integer_basis", m, N)
+    cached = P._memo.get(key)
+    if cached is None:
+        level = max(0, min(N - 1, m - 1))
+        zeros = (0,) * (euler_phi(N) - 1)
+        if level == 0:
+            vectors = [{c: (1,) + zeros} for c in range(len(P.paths(m)))]
+        elif level == 1:
+            vectors = [{c: (v,) + zeros for c, v in row.items()}
+                       for row in _ordinary_omega(P, m)[0]]
+        else:
+            vectors = [{c: v.coeffs for c, v in enumerate(x) if v}
+                       for x in omega_full(P, m, N).space.basis]
+        rows, scales = [], []
+        for x in vectors:
+            scale = math.lcm(*(a.denominator for t in x.values() for a in t))
+            rows.append({c: tuple(a.numerator * (scale // a.denominator) for a in t)
+                         for c, t in x.items()})
+            scales.append(scale)
+        cached = P._memo[key] = (rows, scales)
+    return cached
+
+
+def _boundary(P: PathComplex, n: int, N: int, chains: list[IntRow]) -> tuple[list[IntRow], bool]:
+    """d of allowed n-chains over Z[zeta_N], and whether any image left the allowed span."""
+    if n < 1 or not any(chains):
         return [{} for _ in chains], False
-    bm = boundary_power_matrix(P, n, 1, N)
-    images = [bm.apply(x.items()) for x in chains]
-    return images, any(y and max(y) >= bm.allowed_rows for y in images)
+    table = faces(P, n)
+    powers = integer_powers(N)
+    phi = len(powers[0])
+    products: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    images = []
+    for x in chains:
+        sums: dict[int, list[int]] = {}
+        for c, a in x.items():
+            for r, j in table.columns[c]:
+                j %= N
+                term = products.get((a, j))
+                if term is None:
+                    term = [0] * phi
+                    for i, ai in enumerate(a):
+                        if ai:
+                            for k, t in enumerate(powers[i + j]):
+                                if t:
+                                    term[k] += ai * t
+                    products[(a, j)] = term
+                acc = sums.get(r)
+                if acc is None:
+                    sums[r] = list(term)
+                else:
+                    for k in range(phi):
+                        acc[k] += term[k]
+        images.append({r: tuple(v) for r, v in sums.items() if any(v)})
+    return images, any(y and max(y) >= table.allowed_rows for y in images)
 
 
-def _images(P: PathComplex, m: int, N: int) -> list[list[Row]]:
-    """d^r x for r = 1 .. N-1 over the Omega_m^N basis chains x, made once per (m, N).
+def _images(P: PathComplex, m: int, N: int) -> list[list[IntRow]]:
+    """d^r x for r = 1 .. N-1 over the integer Omega_m^N basis rows x, made once per (m, N).
 
-    Entry r-1 holds the images d^r x, as sparse rows over the allowed
-    (m-r)-paths, in basis order; each is one d^1 application to the one
-    before.  An image that leaves the allowed span raises
+    Entry r-1 holds the images d^r x, as sparse Z[zeta_N] rows over the
+    allowed (m-r)-paths, in basis order; each is one d^1 application to
+    the one before.  An image that leaves the allowed span raises
     ``InvariantViolation``: by ``homology.betti`` none can.  One more
     application gives d^N x, whose record (``_nth_power_record``) is kept
     for m >= N.
@@ -297,7 +359,7 @@ def _images(P: PathComplex, m: int, N: int) -> list[list[Row]]:
     images = P._memo.get(key)
     if images is None:
         images = []
-        chain = _sparse(omega_full(P, m, N).space)
+        chain = _integer_basis(P, m, N)[0]
         for r in range(1, N + 1):
             chain, escaped = _boundary(P, m - r + 1, N, chain)
             if r == N:
@@ -312,35 +374,12 @@ def _images(P: PathComplex, m: int, N: int) -> list[list[Row]]:
     return images
 
 
-class _RankBound(NamedTuple):
-    """rank(d^r | Omega_m^N) lies in [low, cap]; low is None where an entry has no image in F_p."""
-
-    low: int | None
-    cap: int
-
-
-def _rank_bound(P: PathComplex, m: int, r: int, N: int) -> _RankBound:
-    """The F_p lower bound of rank(d^r | Omega_m^N) and its upper bound, made once.
-
-    The rank is at most the number of nonzero images and at most the
-    number of allowed (m-r)-paths they are written in; where ``low``
-    reaches that cap it is the rank (the full-rank certificate).
-    """
-    key = ("rank_bound", m, r, N)
-    cached = P._memo.get(key)
-    if cached is None:
-        images = _images(P, m, N)[r - 1]
-        cap = min(sum(1 for y in images if y), len(P.paths(m - r)))
-        cached = P._memo[key] = _RankBound(rank_mod(images, N), cap)
-    return cached
-
-
 def _image_rank(P: PathComplex, m: int, r: int, N: int) -> int:
-    """rank(d^r | Omega_m^N): certified from its F_p bound, else by exact elimination."""
+    """rank(d^r | Omega_m^N), certified from F_p ranks (see the module docstring)."""
     key = ("image_rank", m, r, N)
     cached = P._memo.get(key)
     if cached is None:
-        cached = P._memo[key] = rank(dict(y) for y in _images(P, m, N)[r - 1])
+        cached = P._memo[key] = certified_rank(_images(P, m, N)[r - 1], N)
     return cached
 
 

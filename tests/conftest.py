@@ -1,10 +1,12 @@
 import os
 import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import mayerpath
+from mayerpath import linalg
 from mayerpath.complexes import Digraph, path_complex_from_digraph
 from mayerpath.fixtures import load_digraph, load_fixture
 
@@ -76,3 +78,10 @@ def antiparallel_complexes(rng, count, max_dim, budget):
             continue
         made += 1
         yield g, P
+
+
+@lru_cache(maxsize=None)
+def least_modulus(N, index):
+    """``linalg._modulus`` from the least prime = 1 (mod N) on: 3, 7, 5, 11, 7 for N = 2..6."""
+    floor = 1 if index == 0 else least_modulus(N, index - 1)[0]
+    return linalg._prime_root(N, floor)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mayerpath import linalg
 from mayerpath.cli import MAX_ORDER
-from mayerpath.cyclotomic import Scalar, zeta_power
+from mayerpath.cyclotomic import Scalar, euler_phi, integer_powers, zeta_power
 from mayerpath.linalg import (
     AmbientMismatch,
     Matrix,
@@ -16,8 +16,8 @@ from mayerpath.linalg import (
     Subspace,
     intersect,
     nullspace,
+    certified_rank,
     quotient_dim,
-    rank,
     rank_mod,
 )
 
@@ -47,6 +47,15 @@ def loop4_boundary(N):
         [z, z, xi, one],
         [z, one, z, xi],
     ])
+
+
+def _int_rows(m):
+    """The rows of a matrix with entries in Z[zeta_N], as tuples of power-basis ints."""
+    rows = []
+    for row in m.row_dicts():
+        assert all(a.denominator == 1 for v in row.values() for a in v.coeffs)
+        rows.append({c: tuple(a.numerator for a in v.coeffs) for c, v in row.items()})
+    return rows
 
 
 def _rref(m):
@@ -83,7 +92,7 @@ def test_rref_identity():
     red, rk, pivots = _rref(m)
     assert rk == 3 and pivots == (0, 1, 2)
     assert red.entries == m.entries
-    assert rank(m.row_dicts()) == 3 and nullspace(m).dim == 0
+    assert certified_rank(_int_rows(m), N) == 3 and nullspace(m).dim == 0
 
 
 def test_rref_duplicate_rows():
@@ -92,13 +101,13 @@ def test_rref_duplicate_rows():
     m = dense(N, [[xi, one, z], [xi, one, z]])
     _, rk, _ = _rref(m)
     assert rk == 1
-    assert rank(m.row_dicts()) == 1 and nullspace(m).dim == 2
+    assert certified_rank(_int_rows(m), N) == 1 and nullspace(m).dim == 2
 
 
 def test_loop4_boundary_full_rank_at_order_3():
     _, rk, _ = _rref(loop4_boundary(3))
     assert rk == 4
-    assert rank(loop4_boundary(3).row_dicts()) == 4
+    assert certified_rank(_int_rows(loop4_boundary(3)), 3) == 4
     assert nullspace(loop4_boundary(3)).dim == 0
 
 
@@ -134,8 +143,8 @@ def test_rank_equals_transpose_rank_random():
             transpose = Matrix(cols, rows, N, {(c, r): v for (r, c), v in entries.items()})
             _, rank_t, _ = _rref(transpose)
             assert rank_m == rank_t
-            # forward elimination agrees, and consumes rows lazily
-            assert rank(iter(m.row_dicts())) == rank_m
+            # the certified rank over Z[zeta_N] agrees
+            assert certified_rank(_int_rows(m), N) == rank_m
 
 
 def _reference_nullspace(m):
@@ -217,55 +226,101 @@ def _trial_division_prime(n):
 
 
 def test_modulus_is_a_prime_with_a_primitive_root_of_unity_for_every_order():
+    """The first primes of the sequence: each the least prime = 1 (mod N) above the one before."""
     for N in range(2, MAX_ORDER + 1):
-        p, w = linalg._modulus(N)
-        assert 2 ** 31 < p < 2 ** 32, N
-        assert _trial_division_prime(p), N
-        assert p % N == 1, N
-        assert pow(w, N, p) == 1, N
-        for f in range(2, N + 1):
-            if N % f == 0 and _trial_division_prime(f):
-                assert pow(w, N // f, p) != 1, (N, f)
-        assert linalg._prime_root(N, 2 ** 31) == (p, w)
+        floor = 2 ** 31
+        for index in range(3):
+            p, w = linalg._modulus(N, index)
+            assert floor < p < 2 ** 32, (N, index)
+            assert _trial_division_prime(p), (N, index)
+            assert p % N == 1, (N, index)
+            assert pow(w, N, p) == 1, (N, index)
+            for f in range(2, N + 1):
+                if N % f == 0 and _trial_division_prime(f):
+                    assert pow(w, N // f, p) != 1, (N, index, f)
+            assert linalg._prime_root(N, floor) == (p, w)
+            floor = p
 
 
-def test_rank_mod_falls_back_on_a_denominator_divisible_by_p():
-    for N in (2, 3, 5):
-        p, _ = linalg._modulus(N)
-        one = Scalar.one(N)
-        over_p = Scalar.from_rational(N, Fraction(1, p))
-        assert rank_mod([{0: one}, {1: over_p}], N) is None
-        # a denominator p on a zeta coefficient counts as well
-        assert rank_mod([{0: zeta_power(N, 1) * Fraction(3, 2 * p)}], N) is None
-        # denominators prime to p map into F_p
-        assert rank_mod([{0: Scalar.from_rational(N, Fraction(1, p + 1))}], N) == 1
+def test_a_rank_the_first_prime_drops_is_certified_by_the_next(monkeypatch):
+    """Minors that vanish modulo the first prime p, and ranks that differ between primes.
+
+    det [[1, 1], [1, 1 - p]] = -p, and zeta - w (w the image of zeta)
+    has a norm divisible by p: both drop a rank modulo p and are certified
+    only after the second prime; the second needs the norm's power
+    phi(N).  Under the least primes p1 < p2, the rows e0 + e2, p2 e1,
+    e0 + e2 have rank 2 modulo p1 and 1 modulo p2, and the larger rank is
+    kept.
+    """
+    from conftest import least_modulus
+
+    used = []
+
+    def recorded(N, index, modulus=linalg._modulus):
+        used.append(index)
+        return modulus(N, index)
+
+    monkeypatch.setattr(linalg, "_modulus", recorded)
+    for N in range(2, 7):
+        p, w = linalg._modulus(N, 0)
+        one = (1,) + (0,) * (euler_phi(N) - 1)
+        zeta_minus_w = tuple(a - w * b for a, b in zip(integer_powers(N)[1], one))
+        for rows, rank in (([{0: one, 1: one}, {0: one, 1: (1 - p,) + one[1:]}], 2),
+                           ([{0: zeta_minus_w}], 1)):
+            assert rank_mod(rows, p, w) == rank - 1, (N, rows)
+            used.clear()
+            assert certified_rank(rows, N) == rank, (N, rows)
+            assert used == [0, 1], (N, rows, used)
+
+    monkeypatch.setattr(linalg, "_modulus", least_modulus)
+    for N in range(2, 7):
+        (p1, w1), (p2, w2) = least_modulus(N, 0), least_modulus(N, 1)
+        one = (1,) + (0,) * (euler_phi(N) - 1)
+        rows = [{0: one, 2: one}, {1: (p2,) + one[1:]}, {0: one, 2: one}]
+        assert (rank_mod(rows, p1, w1), rank_mod(rows, p2, w2)) == (2, 1)
+        assert certified_rank(rows, N) == 2, N
 
 
 def test_rank_mod_never_exceeds_the_exact_rank(monkeypatch):
-    """Seeded Q(zeta_N) matrices with rational rows, under the real prime and the least one."""
-    seen = {"equal full": 0, "equal deficient": 0, "below": 0}
+    """Seeded Z[zeta_N] matrices, under the real primes and the least ones.
+
+    Every F_p rank is at most the rank of the reference elimination, and
+    the certified rank equals it.
+    """
+    from conftest import least_modulus
+
+    seen = {"equal full": 0, "equal deficient": 0, "below": 0, "several primes": 0}
+    primes = []
+    true_rank_mod = linalg.rank_mod
+
+    def counted(rows, p, w):
+        primes.append(p)
+        return true_rank_mod(rows, p, w)
+
+    monkeypatch.setattr(linalg, "rank_mod", counted)
     for least in (False, True):
         if least:
-            monkeypatch.setattr(linalg, "_modulus", lambda N: linalg._prime_root(N, 1))
+            monkeypatch.setattr(linalg, "_modulus", least_modulus)
         rng = random.Random(31)
         for N in (2, 3, 4, 5, 6):
             for _ in range(30):
                 cols = rng.randint(1, 7)
                 rows = rng.randint(1, 9)
                 m = _random_matrix(rng, N, rows, cols, rng.randint(1, min(rows, cols) + 1))
-                scale = [Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3, 5, 7)))
-                         for _ in range(rows)]
-                rows_of = [{c: v * scale[r] for c, v in row.items()}
-                           for r, row in enumerate(m.row_dicts())]
-                exact = rank(dict(row) for row in rows_of)
+                rows_of = _int_rows(m)
+                _, exact, _ = _rref(m)
                 snapshot = [dict(row) for row in rows_of]
-                bound = rank_mod(rows_of, N)
-                assert rows_of == snapshot  # only read
-                assert bound is None or bound <= exact, (least, N, rows_of)
-                if bound is not None and bound < exact:
+                p, w = linalg._modulus(N, 0)
+                bound = true_rank_mod(rows_of, p, w)
+                assert bound <= exact, (least, N, rows_of)
+                if bound < exact:
                     seen["below"] += 1
-                elif bound == exact:
+                else:
                     seen["equal full" if exact == min(rows, cols) else "equal deficient"] += 1
+                primes.clear()
+                assert certified_rank(rows_of, N) == exact, (least, N, rows_of)
+                assert rows_of == snapshot  # only read
+                seen["several primes"] += len(primes) > 1
     assert all(seen.values()), seen
 
 

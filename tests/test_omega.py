@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from mayerpath.complexes import Digraph, PathComplex, parse_digraph, path_comple
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.fixtures import ALL_FIXTURES, DIGRAPH_FIXTURES, load_digraph, load_fixture
 from mayerpath.linalg import InvariantViolation, Matrix, Subspace, nullspace
-from mayerpath.omega import _level, omega_full, omega_nilpotency, omega_nq, verify_chain_closure
+from mayerpath.omega import (OmegaSpace, _images, _integer_basis, _level, omega_full,
+                             omega_nilpotency, omega_nq, verify_chain_closure)
 
 
 def vec_of(P, n, terms):
@@ -341,6 +343,90 @@ def test_omega_full_equals_stacked_reference():
                 assert got.pivot_cols == ref.pivot_cols, (P.digest(), N, n)
                 cut_by_higher_levels += got.dim < _level(P, n, 1, N).dim
     assert cut_by_higher_levels
+
+
+def _in_field(row, N):
+    return {c: Scalar(N, tuple(Fraction(a) for a in t)) for c, t in row.items()}
+
+
+def _check_integer_images(P, m, N):
+    """Integer rows and images of Omega_m^N against its Q(zeta_N) basis and assembled d^r.
+
+    Each integer row, read in Q(zeta_N), is its basis row times its
+    scale, the lcm of the row's denominators; the image of d^r is the
+    assembled d^r matrix (summed over the group ring, not iterated)
+    applied to that scaled row.  Returns the number of nonzero images.
+    """
+    basis = omega_full(P, m, N).space.basis
+    rows, scales = _integer_basis(P, m, N)
+    assert len(rows) == len(scales) == len(basis)
+    images = _images(P, m, N)
+    nonzero = 0
+    for i, (x, row, scale) in enumerate(zip(basis, rows, scales)):
+        assert scale == math.lcm(*(a.denominator for v in x for a in v.coeffs)), i
+        scaled = {c: v * scale for c, v in enumerate(x) if v}
+        assert _in_field(row, N) == scaled, i
+        for r in range(1, N):
+            ref = boundary_power_matrix(P, m, r, N).apply(scaled.items())
+            assert _in_field(images[r - 1][i], N) == ref, (r, i)
+            nonzero += bool(ref)
+    return nonzero
+
+
+def test_integer_images_equal_the_boundary_powers_of_the_basis():
+    """Fixtures and seeded antiparallel digraphs at N = 2..6.
+
+    The last digraph has basis rows with zeta coefficients at N = 5.
+    """
+    from conftest import antiparallel_complexes
+
+    rng = random.Random(808)
+    complexes = [load_fixture(name) for name in ALL_FIXTURES]
+    complexes += [P for _, P in antiparallel_complexes(rng, 20, 5, 200)]
+    complexes.append(path_complex_from_digraph(Digraph(
+        tuple("123456"), ((0, 1), (0, 3), (1, 0), (1, 2), (1, 5), (2, 3), (2, 5), (3, 0),
+                          (3, 2), (4, 2), (4, 5), (5, 0), (5, 3), (5, 4))), 5))
+    seen = {"zero image": 0, "nonzero image": 0, "zeta coefficient": 0}
+    for P in complexes:
+        for N in range(2, 7):
+            for m in range(6):
+                images = sum(len(_images(P, m, N)[r]) for r in range(N - 1))
+                nonzero = _check_integer_images(P, m, N)
+                seen["nonzero image"] += nonzero
+                seen["zero image"] += images - nonzero
+                seen["zeta coefficient"] += any(
+                    any(t[1:]) for row in _integer_basis(P, m, N)[0] for t in row.values())
+    assert all(seen.values()), seen
+
+
+def test_integer_basis_clears_the_denominators_of_each_row():
+    """Basis rows given denominators, at level 1 (over Q) and level 2 (over Q(zeta_3)).
+
+    No corpus complex has a canonical basis with a denominator, so the
+    memo is seeded with multiples of the true rows, which stay in
+    Omega_m^N.
+    """
+    P = load_fixture("braid")
+    basis = omega_full(P, 2, 2).space.basis
+    P = load_fixture("braid")
+    factors = [Fraction(k + 2, 3 + 2 * k) for k in range(len(basis))]
+    P._memo[("ordinary_omega", 2)] = (
+        [{c: v.coeffs[0] * f for c, v in enumerate(x) if v} for x, f in zip(basis, factors)],
+        (),
+    )
+    assert _check_integer_images(P, 2, 2)
+    assert max(_integer_basis(P, 2, 2)[1]) > 1
+
+    P = load_fixture("trapezohedron_m2")
+    space = omega_full(P, 3, 3).space
+    assert space.dim and _level(P, 3, 2, 3) is space
+    factor = Scalar(3, (Fraction(1, 2), Fraction(-2, 9)))
+    P = load_fixture("trapezohedron_m2")
+    scaled = tuple(tuple(v * factor for v in x) for x in space.basis)
+    P._memo[("omega_full", 3, 3)] = OmegaSpace(3, 3, None, Subspace(
+        space.ambient_dim, 3, scaled, space.pivot_cols))
+    assert _check_integer_images(P, 3, 3)
+    assert _integer_basis(P, 3, 3)[1] == [18]
 
 
 def _hand_built(dims):
