@@ -10,23 +10,27 @@ variants matter:
 
 Powers of the regular operator are computed by iterating it through the
 full regular span, so intermediate irregular faces are dropped at every
-step, not only at the end.  ``faces`` enumerates the faces of d^1 once
-per dimension, for every N; the Betti path applies it over Z[zeta_N]
-(``omega._images``), and ``BoundaryMatrix`` is the library's matrix of a
-power over Q(zeta_N), read off ``faces`` for d^1.  The free operator
-below exists only to check the paper's closed form.
+step, not only at the end.  On invariant chains d^1 has one form,
+``faces``: the faces of the allowed n-paths, enumerated once per
+dimension for every N and applied over Z[zeta_N]
+(``omega.apply_regular_power``); the Omega levels and the images of the
+Betti path are iterated applications of it.  ``BoundaryMatrix`` is the
+Q(zeta_N) matrix of a power d^q, summed over the integer group ring for
+every q; it serves the single-level spaces ``omega.omega_nq`` (q >= 2),
+``verify_nilpotency`` on the regular span and the degree-1 kernel of
+``cycles``, which read its entries and never apply it.  The free
+operator below exists only to check the paper's closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .complexes import PathComplex, Path, face
 from .cyclotomic import Scalar, integer_powers, q_factorial, zeta_power
-from .linalg import Matrix, Row, Subspace
+from .linalg import Matrix
 
 Chain = dict[Path, Scalar]
 
@@ -69,38 +73,6 @@ class BoundaryMatrix:
         }
         return Matrix(len(self.row_paths) - self.allowed_rows, len(self.col_paths),
                       self.order, entries)
-
-    @cached_property
-    def columns(self) -> list[list[tuple[int, Scalar]]]:
-        """(row, entry) pairs of each column, in column order."""
-        out: list[list[tuple[int, Scalar]]] = [[] for _ in self.col_paths]
-        for (r, c), v in self.entries.items():
-            out[c].append((r, v))
-        return out
-
-    def apply(self, x) -> Row:
-        """Sparse image of the vector with nonzero (column, coefficient) pairs x."""
-        columns = self.columns
-        one = Scalar.one(self.order)
-        out: Row = {}
-        for c, xc in x:
-            unit = xc == one
-            for r, v in columns[c]:
-                t = v if unit else xc * v
-                w = out.get(r)
-                if w is not None:
-                    t = w + t
-                    if not t:
-                        del out[r]
-                        continue
-                out[r] = t
-        return out
-
-    def images(self, space: Subspace):
-        """Images of the basis of space, one sparse row at a time."""
-        zero = Scalar.zero(self.order)
-        for x in space.basis:
-            yield self.apply((c, xc) for c, xc in enumerate(x) if xc is not zero and xc)
 
 
 def _group_ring_power(p: Path, q: int, N: int) -> dict[Path, list[int]]:
@@ -175,8 +147,7 @@ def faces(P: PathComplex, n: int) -> Faces:
 def boundary_power_matrix(P: PathComplex, n: int, q: int, N: int) -> BoundaryMatrix:
     """Assemble the matrix of the q-th power of the regular boundary.
 
-    For q = 1 the entries are read off ``faces``.  For q > 1 each
-    column's power is summed over the integer group ring (see
+    Each column's power is summed over the integer group ring (see
     ``_group_ring_power``) and only the entries left at the end are
     mapped into Q(zeta_N), through x^k -> zeta^k (integer vectors, as
     Phi_N is monic), once per distinct integer vector.  Columns are built
@@ -192,14 +163,6 @@ def boundary_power_matrix(P: PathComplex, n: int, q: int, N: int) -> BoundaryMat
     cols = P.paths(n)
     if n - q < 0:
         result = BoundaryMatrix(n, q, N, cols, (), 0, {})
-        P._memo[key] = result
-        return result
-
-    if q == 1:
-        table = faces(P, n)
-        entries = {(r, c): zeta_power(N, j) for c, col in enumerate(table.columns)
-                   for r, j in col}
-        result = BoundaryMatrix(n, 1, N, cols, table.row_paths, table.allowed_rows, entries)
         P._memo[key] = result
         return result
 

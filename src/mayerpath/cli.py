@@ -250,28 +250,31 @@ def cmd_check(args) -> int:
     _check_config(args)
     P, _ = _load_input(args.input, args.kind, args.max_dim)
     N = args.N
-    results = {}
-    results["nilpotent_on_invariant_complex"] = omega_nilpotency(P, N, args.max_dim)
-    results["nilpotent_on_regular_span"] = verify_nilpotency(P, N, args.max_dim)
-    results["chain_closure"] = all(
-        verify_chain_closure(P, N, n) for n in range(1, args.max_dim + 1)
-    )
-    # betti_table raises if boundaries escape cycles anywhere on the grid
-    table = betti_table(P, N, args.max_dim)
-    results["boundaries_inside_cycles"] = True
+    results = {
+        "nilpotent_on_invariant_complex": omega_nilpotency(P, N, args.max_dim),
+        "nilpotent_on_regular_span": verify_nilpotency(P, N, args.max_dim),
+        "chain_closure": all(
+            verify_chain_closure(P, N, n) for n in range(1, args.max_dim + 1)),
+        # the d^N records of m = N .. max_dim+N-1, which the Betti table's
+        # containment checks read (see homology.betti)
+        "boundaries_inside_cycles": omega_nilpotency(P, N, args.max_dim + N - 1),
+    }
+    failed = [k for k in ("nilpotent_on_invariant_complex", "chain_closure",
+                          "boundaries_inside_cycles") if not results[k]]
+    payload = {"N": N, "input": P.digest(), "checks": results}
     poincare = []
-    for q in range(1, N):
-        rep = poincare_identity_check(P, N, q)
-        poincare.append({
-            "q": q,
-            "bounded": rep.bounded,
-            "equal": rep.equal,
-            "lhs": rep.lhs.render() if rep.lhs is not None else None,
-            "rhs": rep.rhs.render() if rep.rhs is not None else None,
-        })
-    ok = results["nilpotent_on_invariant_complex"] and results["chain_closure"]
-    payload = {"N": N, "input": P.digest(), "checks": results,
-               "poincare": poincare, "betti": table.to_json_dict()["betti"]}
+    if not failed:
+        payload["betti"] = betti_table(P, N, args.max_dim).to_json_dict()["betti"]
+        for q in range(1, N):
+            rep = poincare_identity_check(P, N, q)
+            poincare.append({
+                "q": q,
+                "bounded": rep.bounded,
+                "equal": rep.equal,
+                "lhs": rep.lhs.render() if rep.lhs is not None else None,
+                "rhs": rep.rhs.render() if rep.rhs is not None else None,
+            })
+        payload["poincare"] = poincare
     if args.format == "json":
         _emit(_json_dumps(payload), args.out)
     else:
@@ -283,7 +286,10 @@ def cmd_check(args) -> int:
                    else f"equal={rep['equal']} lhs={rep['lhs']} rhs={rep['rhs']}")
             )
         _emit("\n".join(lines), args.out)
-    return 0 if ok else EXIT_INVARIANT
+    if failed:
+        print("invariant violation: failed checks: " + ", ".join(failed), file=sys.stderr)
+        return EXIT_INVARIANT
+    return 0
 
 
 def cmd_report(args) -> int:

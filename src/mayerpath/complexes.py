@@ -249,10 +249,6 @@ class PathComplex:
     def is_allowed(self, p: Path) -> bool:
         return p in self.allowed_set(len(p) - 1)
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.labels)
-
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.allowed_set(1)
 

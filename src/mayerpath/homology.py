@@ -31,13 +31,12 @@ Betti number is a certified rank, with no elimination over Q(zeta_N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import PathComplex
 from .cyclotomic import Scalar, zeta_power
 from .linalg import NotASubspace, Row, Subspace
-from .omega import (_image_rank, _images, _integer_basis, _kernel_within, _nth_power_record,
-                    omega_full)
+from .omega import (_image_rank, _images, _in_field, _integer_basis, _kernel_within,
+                    _nth_power_record, omega_full)
 
 
 class ImageEscapesAllowed(ValueError):
@@ -46,9 +45,7 @@ class ImageEscapesAllowed(ValueError):
 
 def _exact_images(P: PathComplex, m: int, r: int, N: int) -> list[Row]:
     """d^r of the Omega_m^N basis in Q(zeta_N): the integer images over their row scales."""
-    scales = _integer_basis(P, m, N)[1]
-    return [{c: Scalar(N, tuple(Fraction(a, s) for a in t)) for c, t in y.items()}
-            for y, s in zip(_images(P, m, N)[r - 1], scales)]
+    return _in_field(_images(P, m, N)[r - 1], _integer_basis(P, m, N - 1, N)[1], N)
 
 
 def cycle_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
@@ -293,10 +290,6 @@ def _dense_eliminate(rows: list[list[Scalar]]) -> list[list[Scalar]]:
         used.append(pr)
         pivot_of.append((c, pr))
     return [rows[pr] for (_, pr) in pivot_of]
-
-
-def _dense_rank(rows) -> int:
-    return len(_dense_eliminate(rows))
 
 
 def _dense_nullspace(rows: list[list[Scalar]], cols: int, N: int) -> list[list[Scalar]]:

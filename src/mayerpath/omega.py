@@ -1,8 +1,12 @@
 """Invariant-path spaces Omega_n^{N,q} and their intersection Omega_n^N.
 
 Omega_m^N, the allowed m-chains whose boundary powers d^1 .. d^(N-1)
-stay allowed, is built level by level from the one matrix of d = d^1
-per dimension (see ``omega_full`` for the recursion and its proof).
+stay allowed, is built level by level from d = d^1 alone (see
+``omega_full`` for the recursion and its proof).  d^1 has two forms
+here: the rational 0/1 non-allowed rows of ``_ordinary_rows``, which
+give level 1 for every N, and the N-free face table of
+``boundary.faces``, applied over Z[zeta_N] by ``apply_regular_power``,
+which gives every higher level and every image.
 
 Level 1 is the ordinary Omega of path homology (Grigor'yan, Lin,
 Muranov and Yau, arXiv:1207.2834), the same for every N, because every
@@ -24,16 +28,18 @@ The 0/1 fact is checked where each row is built: a non-allowed end face,
 or a non-allowed face reached by deleting two different positions,
 raises ``InvariantViolation``.
 
-On Omega_m^N every d^r x with r <= N-1 is allowed (see
-``homology.betti``), so d^r x is r applications of d^1, each
-intermediate chain checked to be allowed, and d^N x one more
-(``_images``).  They run in the ring of integers Z[zeta_N]: each basis
-row of Omega_m^N is scaled by the lcm of its denominators
-(``_integer_basis``), an entry is a tuple of phi(N) ints in the power
-basis, and d^1 is the N-free table of ``boundary.faces``, whose entries
-are the units zeta^j; multiplying by zeta^j reads the int table
-``cyclotomic.integer_powers`` of x^k mod Phi_N.  Scaling a row scales
-its images and changes no rank.
+A level j >= 2 needs d^j of the level-(j-1) basis, and on Omega_m^N
+every d^r x with r <= N-1 is allowed (see ``homology.betti``), so d^r x
+is r applications of d^1, each intermediate chain checked to be
+allowed, and d^N x one more (``_images``).  They run in the ring of
+integers Z[zeta_N]: each basis row of a level is scaled by the lcm of
+its denominators (``_integer_basis``), an entry is a tuple of phi(N)
+ints in the power basis, and d^1 is the N-free table of
+``boundary.faces``, whose entries are the units zeta^j; multiplying by
+zeta^j reads the int table ``cyclotomic.integer_powers`` of x^k mod
+Phi_N.  Scaling a row scales its images and changes no rank; dividing
+an image by its row's scale (``_in_field``) gives the image of the
+basis row in Q(zeta_N), where the level's kernel is solved.
 
 ``_image_rank`` takes the rank of an image set with
 ``linalg.certified_rank``: F_p ranks at successive primes p = 1 (mod N)
@@ -48,13 +54,14 @@ Once the squared product of the primes exceeds
 
 Boundary powers d^q with q > 1 are assembled only for the single-level
 spaces of ``omega_nq`` and for the regular-span check
-``boundary.verify_nilpotency``.
+``boundary.verify_nilpotency``; ``omega_nq`` with q = 1 is level 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .boundary import boundary_power_matrix, faces
@@ -75,10 +82,11 @@ class OmegaSpace:
 def omega_nq(P: PathComplex, n: int, q: int, N: int) -> OmegaSpace:
     """Allowed n-chains whose q-th boundary power stays allowed.
 
-    Computed as the nullspace of the non-allowed row block of the q-th
-    boundary power matrix.  For q >= n the image lives in dimension <= 0
-    where every regular path is allowed, so the space is all of the
-    allowed span.
+    For q = 1 this is level 1 of ``omega_full``'s recursion, the ordinary
+    Omega solved over Q.  For q >= 2 it is the nullspace of the
+    non-allowed row block of the q-th boundary power matrix.  For q >= n
+    the image lives in dimension <= 0 where every regular path is
+    allowed, so the space is all of the allowed span.
     """
     if N < 2 or not 1 <= q <= N - 1:
         raise ValueError("need N >= 2 and 1 <= q <= N-1")
@@ -87,7 +95,9 @@ def omega_nq(P: PathComplex, n: int, q: int, N: int) -> OmegaSpace:
     if cached is not None:
         return cached
     ambient = len(P.paths(n))
-    if q >= n:
+    if q == 1:
+        space = _level(P, n, 1, N)
+    elif q >= n:
         space = Subspace.full_space(ambient, N)
     else:
         block = boundary_power_matrix(P, n, q, N).nonallowed_block()
@@ -182,10 +192,6 @@ def _embed(P: PathComplex, m: int, N: int) -> Subspace:
     return Subspace(ambient, N, tuple(basis), pivots)
 
 
-def _sparse(space: Subspace) -> list[Row]:
-    return [{c: v for c, v in enumerate(x) if v} for x in space.basis]
-
-
 def _kernel_within(space: Subspace, images: list[Row]) -> Subspace:
     """Canonical basis of the x in space that a linear map kills.
 
@@ -202,7 +208,7 @@ def _kernel_within(space: Subspace, images: list[Row]) -> Subspace:
     coeffs = nullspace(Matrix.from_row_dicts(list(rows.values()), space.dim, space.order))
     if coeffs.dim == 0:
         return Subspace.zero_space(space.ambient_dim, space.order)
-    basis = _sparse(space)
+    basis = [{k: v for k, v in enumerate(b) if v} for b in space.basis]
     zero = Scalar.zero(space.order)
     vectors = []
     for c in coeffs.basis:
@@ -214,8 +220,18 @@ def _kernel_within(space: Subspace, images: list[Row]) -> Subspace:
     return Subspace.from_spanning(vectors, space.ambient_dim, space.order)
 
 
+def _in_field(images: list[IntRow], scales: list[int], N: int) -> list[Row]:
+    """Integer images of scaled basis rows as images of the basis rows, in Q(zeta_N)."""
+    return [{c: Scalar(N, tuple(Fraction(a, s) for a in t)) for c, t in y.items()}
+            for y, s in zip(images, scales)]
+
+
 def _level(P: PathComplex, m: int, j: int, N: int) -> Subspace:
-    """Omega^(j)_m: allowed m-chains x with d^s x allowed for every s <= j."""
+    """Omega^(j)_m: allowed m-chains x with d^s x allowed for every s <= j.
+
+    For j >= 2, the kernel inside Omega^(j-1)_m of the non-allowed rows
+    of d^j (see ``omega_full``).
+    """
     j = max(0, min(j, m - 1))
     key = ("omega_level", m, j, N)
     space = P._memo.get(key)
@@ -226,18 +242,16 @@ def _level(P: PathComplex, m: int, j: int, N: int) -> Subspace:
             space = _embed(P, m, N)
         else:
             space = _level(P, m, j - 1, N)
-            lower = _level(P, m - 1, j - 1, N)
-            if space.dim and lower.dim < lower.ambient_dim:
-                pivots = list(zip(lower.pivot_cols, _sparse(lower)))
-                residuals = []
-                for y in boundary_power_matrix(P, m, 1, N).images(space):
-                    residual = dict(y)
-                    for p, row in pivots:
-                        f = y.get(p)
-                        if f:
-                            _sub_scaled(residual, row, f)
-                    residuals.append(residual)
-                space = _kernel_within(space, residuals)
+            if space.dim:
+                chain, scales = _integer_basis(P, m, j - 1, N)
+                for s in range(1, j + 1):
+                    chain, escaped = apply_regular_power(P, m - s + 1, N, chain)
+                    if escaped and s < j:
+                        raise InvariantViolation(
+                            f"d^{s} of a level-{j - 1} {m}-chain left the allowed span")
+                allowed = faces(P, m - j + 1).allowed_rows
+                escapes = [{r: t for r, t in y.items() if r >= allowed} for y in chain]
+                space = _kernel_within(space, _in_field(escapes, scales, N))
         P._memo[key] = space
     return space
 
@@ -249,22 +263,22 @@ def omega_full(P: PathComplex, n: int, N: int) -> OmegaSpace:
     m-chains x whose d^s x is allowed for every s <= j, so Omega^(0)_m is
     the allowed span A_m.  Then
 
-        Omega^(j)_m = {x in Omega^(j-1)_m : d x in Omega^(j-1)_(m-1)},
+        Omega^(j)_m = {x in Omega^(j-1)_m : d^j x allowed},
         Omega_n^N   = Omega^(k)_n,  k = max(0, min(N-1, n-1)).
 
-    Proof: x lies in Omega^(j)_m exactly when x is allowed and
-    d^s x = d^(s-1)(d x) is allowed for s = 1 .. j, that is, when x is
-    allowed and d x lies in Omega^(j-1)_(m-1).  The levels are nested, so
-    such an x already lies in Omega^(j-1)_m and the search can stay there.
-    For s >= n, d^s x lives in dimension <= 0, where every regular path is
+    Proof: x in Omega^(j-1)_m already has d^s x allowed for every
+    s <= j-1, so it lies in Omega^(j)_m exactly when d^j x is allowed too;
+    and every x of Omega^(j)_m lies in Omega^(j-1)_m by definition.  For
+    s >= n, d^s x lives in dimension <= 0, where every regular path is
     allowed, so the levels past n-1 add nothing.
 
     Level 1 is the kernel of the non-allowed rows of d^1, each a unit
     times a 0/1 row (one missing edge per non-allowed face; see the module
     docstring), solved over Q.  A level j >= 2 is one small nullspace over
-    the level-(j-1) basis b: the residuals of d b against the canonical
-    basis of Omega^(j-1)_(m-1) are linear in the coefficients of x, and x
-    qualifies exactly when its combined residual vanishes.
+    the level-(j-1) basis b: d^j b is j applications of d^1 over
+    Z[zeta_N], its non-allowed rows are linear in the coefficients of x,
+    and x qualifies exactly when their combination vanishes.  No level of
+    dimension m-1 is needed.
     """
     if N < 2:
         raise ValueError("need N >= 2")
@@ -282,26 +296,26 @@ class _NthPower(NamedTuple):
     allowed: bool
 
 
-def _integer_basis(P: PathComplex, m: int, N: int) -> tuple[list[IntRow], list[int]]:
-    """The Omega_m^N basis rows over Z[zeta_N], each scaled by the lcm of its denominators.
+def _integer_basis(P: PathComplex, m: int, j: int, N: int) -> tuple[list[IntRow], list[int]]:
+    """The Omega^(j)_m basis rows over Z[zeta_N], each scaled by the lcm of its denominators.
 
-    Returns the rows and their scales.  A space of level 1 comes straight
-    from the rational rows of ``_ordinary_omega``, level 0 is the unit
-    rows; only a space of level >= 2 is read off its Q(zeta_N) basis.
+    Returns the rows and their scales.  Level 0 is the unit rows, level 1
+    comes straight from the rational rows of ``_ordinary_omega``; only a
+    level >= 2 is read off its Q(zeta_N) basis.
     """
-    key = ("integer_basis", m, N)
+    j = max(0, min(j, m - 1))
+    key = ("integer_basis", m, j, N)
     cached = P._memo.get(key)
     if cached is None:
-        level = max(0, min(N - 1, m - 1))
         zeros = (0,) * (euler_phi(N) - 1)
-        if level == 0:
+        if j == 0:
             vectors = [{c: (1,) + zeros} for c in range(len(P.paths(m)))]
-        elif level == 1:
+        elif j == 1:
             vectors = [{c: (v,) + zeros for c, v in row.items()}
                        for row in _ordinary_omega(P, m)[0]]
         else:
             vectors = [{c: v.coeffs for c, v in enumerate(x) if v}
-                       for x in omega_full(P, m, N).space.basis]
+                       for x in _level(P, m, j, N).basis]
         rows, scales = [], []
         for x in vectors:
             scale = math.lcm(*(a.denominator for t in x.values() for a in t))
@@ -312,7 +326,8 @@ def _integer_basis(P: PathComplex, m: int, N: int) -> tuple[list[IntRow], list[i
     return cached
 
 
-def _boundary(P: PathComplex, n: int, N: int, chains: list[IntRow]) -> tuple[list[IntRow], bool]:
+def apply_regular_power(P: PathComplex, n: int, N: int,
+                        chains: list[IntRow]) -> tuple[list[IntRow], bool]:
     """d of allowed n-chains over Z[zeta_N], and whether any image left the allowed span."""
     if n < 1 or not any(chains):
         return [{} for _ in chains], False
@@ -359,9 +374,9 @@ def _images(P: PathComplex, m: int, N: int) -> list[list[IntRow]]:
     images = P._memo.get(key)
     if images is None:
         images = []
-        chain = _integer_basis(P, m, N)[0]
+        chain = _integer_basis(P, m, N - 1, N)[0]
         for r in range(1, N + 1):
-            chain, escaped = _boundary(P, m - r + 1, N, chain)
+            chain, escaped = apply_regular_power(P, m - r + 1, N, chain)
             if r == N:
                 break
             if escaped:

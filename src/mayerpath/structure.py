@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .boundary import boundary_power_matrix
 from .complexes import Path, PathComplex
 from .cyclotomic import Scalar, zeta_power
 from .linalg import InvariantViolation, Matrix, Subspace, intersect, nullspace
-from .omega import omega_full, omega_nq
+from .omega import _ordinary_rows, omega_full, omega_nq
 
 
 class SpanMismatch(RuntimeError):
@@ -281,17 +280,21 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
     supports are the circuits of the constraint system, found by
     increasing-support search with superset pruning.  Endpoint pairs
     where the support bound is exceeded are reported, never silently
-    truncated.
+    truncated.  The constraints are the non-allowed rows of d^1, each a
+    unit zeta^j times a 0/1 row (``omega._ordinary_rows``), so the search
+    runs over Q: unit-scaled rows have the same kernels and the same
+    canonical kernel vectors, whose rational coefficients are embedded in
+    Q(zeta_N) at the end.
     """
     if dim != 3:
         raise ValueError("cluster classification is implemented for dimension 3")
-    block = boundary_power_matrix(P, 3, 1, N).nonallowed_block()
     paths = P.paths(3)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for idx, p in enumerate(paths):
         by_pair.setdefault((p[0], p[-1]), []).append(idx)
 
-    rows = block.row_dicts()
+    one = Scalar.one(1)
+    rows = [{c: one for c in row} for row in _ordinary_rows(P, 3)]
     clusters: list[ClusterReport] = []
     truncated: list[tuple[int, int]] = []
 
@@ -303,7 +306,7 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
             if local:
                 sub_rows.append(local)
         # quick exit when the whole cluster contributes nothing
-        cluster_space = nullspace(Matrix.from_row_dicts(sub_rows, len(col_idx), N))
+        cluster_space = nullspace(Matrix.from_row_dicts(sub_rows, len(col_idx), 1))
         if cluster_space.dim == 0:
             continue
 
@@ -322,7 +325,7 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
                     r = {remap[c]: v for c, v in row.items() if c in remap}
                     if r:
                         local_rows.append(r)
-                space = nullspace(Matrix.from_row_dicts(local_rows, size, N))
+                space = nullspace(Matrix.from_row_dicts(local_rows, size, 1))
                 if space.dim == 0:
                     continue
                 if space.dim != 1:
@@ -333,7 +336,8 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
                 found.append(sset)
                 comps = [paths[col_idx[i]] for i in subset]
                 labels = tuple(gamma_label(P, c) for c in comps)
-                components = tuple((c, vec[i]) for i, c in enumerate(comps))
+                components = tuple((c, Scalar.from_rational(N, vec[i].coeffs[0]))
+                                   for i, c in enumerate(comps))
                 clusters.append(ClusterReport(
                     endpoints=pair,
                     components=components,

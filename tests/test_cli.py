@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,12 +184,46 @@ def test_double_edge_invariant_violation_exits_two(capsys, tmp_path):
     assert "invariant violation" in err
 
 
-def test_check_double_edge_exits_two_without_output(capsys, tmp_path):
+def test_check_double_edge_exits_two_with_report(capsys, tmp_path):
     path = tmp_path / "double.edges"
     path.write_text("1 2\n2 1\n")
     code, out, err = run_main(capsys, ["check", "--input", str(path), "--N", "3"])
-    assert code == 2 and out == ""
+    assert code == 2
+    assert out.splitlines() == [
+        "nilpotent_on_invariant_complex: False", "nilpotent_on_regular_span: False",
+        "chain_closure: True", "boundaries_inside_cycles: False"]
     assert "invariant violation" in err
+
+
+ANTIPARALLEL_PAIR = Path(__file__).resolve().parents[1] / "perfbench" / "data" / \
+    "antiparallel_pair.edges"
+
+
+@pytest.mark.parametrize("N, failed", [
+    (3, {"nilpotent_on_invariant_complex", "boundaries_inside_cycles"}),
+    (5, {"boundaries_inside_cycles"}),
+])
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_check_reports_failed_invariants_and_exits_two(N, failed, fmt):
+    # N = 3: d^3 does not vanish on Omega_3; N = 5: it vanishes up to
+    # max_dim = 3 but not on Omega_7, which the Betti table's containment
+    # check reads, so the table and the Poincare scan are skipped
+    proc = subprocess.run(
+        [sys.executable, "-m", "mayerpath.cli", "check", "--input", str(ANTIPARALLEL_PAIR),
+         "--N", str(N), "--format", fmt],
+        capture_output=True, text=True, env=library_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("invariant violation:")
+    if fmt == "json":
+        data = json.loads(proc.stdout)
+        assert set(data) == {"N", "input", "checks"}
+        checks = data["checks"]
+    else:
+        checks = dict(line.split(": ") for line in proc.stdout.splitlines())
+        checks = {k: v == "True" for k, v in checks.items()}
+    assert len(checks) == 4
+    assert {k for k, v in checks.items() if not v} - {"nilpotent_on_regular_span"} == failed
 
 
 def test_omega_with_basis(capsys, fixture_file):

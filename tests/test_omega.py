@@ -26,6 +26,16 @@ def vec_of(P, n, terms):
     return out
 
 
+def _apply(bm, x):
+    """The sparse image {row: value} of x = {column: coefficient} under a boundary matrix."""
+    out = {}
+    for (r, c), v in bm.entries.items():
+        xc = x.get(c)
+        if xc:
+            out[r] = out.get(r, Scalar.zero(bm.order)) + xc * v
+    return {r: v for r, v in out.items() if v}
+
+
 def test_diamond_level_spaces(diamond):
     assert omega_nq(diamond, 2, 1, 3).space.dim == 3
     assert omega_nq(diamond, 2, 2, 3).space.dim == 4
@@ -100,7 +110,7 @@ def test_chain_closure_fails_for_single_level_space(diamond):
     space = omega_nq(diamond, 3, 1, 3).space
     assert space.dim == 1
     bm = boundary_power_matrix(diamond, 3, 1, 3)
-    (image,) = bm.images(space)
+    (image,) = [_apply(bm, dict(enumerate(x))) for x in space.basis]
     assert max(image) < bm.allowed_rows  # the image itself is allowed
     target = omega_nq(diamond, 2, 1, 3).space
     vec = [image.get(i, Scalar.zero(3)) for i in range(bm.allowed_rows)]
@@ -201,12 +211,7 @@ def test_order_two_matches_classical_path_homology_omega():
 def _step(P, n, N, x):
     """d x for x = {index of an allowed n-path: coefficient}, as {path: coefficient}."""
     bm = boundary_power_matrix(P, n, 1, N)
-    out = {}
-    for c, xc in x.items():
-        for r, v in bm.columns[c]:
-            f = bm.row_paths[r]
-            out[f] = out.get(f, Scalar.zero(N)) + xc * v
-    return {f: v for f, v in out.items() if v}
+    return {bm.row_paths[r]: v for r, v in _apply(bm, x).items()}
 
 
 def _indexed(P, n, chain):
@@ -307,7 +312,12 @@ def _stacked_reference(P, n, N):
 
 
 def test_level_one_equals_single_level_space():
-    """The rational level-1 solve (peel, then Q) against the Q(zeta_N) kernel of d^1."""
+    """The rational level-1 solve (peel, then Q) against the Q(zeta_N) kernel of d^1.
+
+    ``omega_nq`` with q = 1 reads the level itself, so the reference is
+    the nullspace of the non-allowed block of the assembled d^1 matrix;
+    ``omega_nq`` must agree with both.
+    """
     from conftest import antiparallel_complexes
 
     rng = random.Random(606)
@@ -318,7 +328,8 @@ def test_level_one_equals_single_level_space():
         for N in range(2, 7):
             for n in range(7):
                 got = _level(P, n, 1, N)
-                ref = omega_nq(P, n, 1, N).space
+                ref = nullspace(boundary_power_matrix(P, n, 1, N).nonallowed_block())
+                assert omega_nq(P, n, 1, N).space is got, (P.digest(), N, n)
                 assert got.basis == ref.basis, (P.digest(), N, n)
                 assert got.pivot_cols == ref.pivot_cols, (P.digest(), N, n)
                 kinds.add("zero" if got.dim == 0 else
@@ -358,7 +369,7 @@ def _check_integer_images(P, m, N):
     applied to that scaled row.  Returns the number of nonzero images.
     """
     basis = omega_full(P, m, N).space.basis
-    rows, scales = _integer_basis(P, m, N)
+    rows, scales = _integer_basis(P, m, N - 1, N)
     assert len(rows) == len(scales) == len(basis)
     images = _images(P, m, N)
     nonzero = 0
@@ -367,7 +378,7 @@ def _check_integer_images(P, m, N):
         scaled = {c: v * scale for c, v in enumerate(x) if v}
         assert _in_field(row, N) == scaled, i
         for r in range(1, N):
-            ref = boundary_power_matrix(P, m, r, N).apply(scaled.items())
+            ref = _apply(boundary_power_matrix(P, m, r, N), scaled)
             assert _in_field(images[r - 1][i], N) == ref, (r, i)
             nonzero += bool(ref)
     return nonzero
@@ -395,7 +406,8 @@ def test_integer_images_equal_the_boundary_powers_of_the_basis():
                 seen["nonzero image"] += nonzero
                 seen["zero image"] += images - nonzero
                 seen["zeta coefficient"] += any(
-                    any(t[1:]) for row in _integer_basis(P, m, N)[0] for t in row.values())
+                    any(t[1:]) for row in _integer_basis(P, m, N - 1, N)[0]
+                    for t in row.values())
     assert all(seen.values()), seen
 
 
@@ -415,18 +427,19 @@ def test_integer_basis_clears_the_denominators_of_each_row():
         (),
     )
     assert _check_integer_images(P, 2, 2)
-    assert max(_integer_basis(P, 2, 2)[1]) > 1
+    assert max(_integer_basis(P, 2, 1, 2)[1]) > 1
 
     P = load_fixture("trapezohedron_m2")
     space = omega_full(P, 3, 3).space
     assert space.dim and _level(P, 3, 2, 3) is space
     factor = Scalar(3, (Fraction(1, 2), Fraction(-2, 9)))
     P = load_fixture("trapezohedron_m2")
-    scaled = tuple(tuple(v * factor for v in x) for x in space.basis)
-    P._memo[("omega_full", 3, 3)] = OmegaSpace(3, 3, None, Subspace(
-        space.ambient_dim, 3, scaled, space.pivot_cols))
+    scaled = Subspace(space.ambient_dim, 3, tuple(tuple(v * factor for v in x)
+                                                  for x in space.basis), space.pivot_cols)
+    P._memo[("omega_full", 3, 3)] = OmegaSpace(3, 3, None, scaled)
+    P._memo[("omega_level", 3, 2, 3)] = scaled
     assert _check_integer_images(P, 3, 3)
-    assert _integer_basis(P, 3, 3)[1] == [18]
+    assert _integer_basis(P, 3, 2, 3)[1] == [18]
 
 
 def _hand_built(dims):

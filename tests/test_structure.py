@@ -1,11 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from mayerpath.boundary import boundary_power_matrix
 from mayerpath.complexes import parse_digraph, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
-from mayerpath.fixtures import fixture_text, load_fixture
-from mayerpath.linalg import intersect
+from mayerpath.fixtures import DIGRAPH_FIXTURES, fixture_text, load_fixture
+from mayerpath.linalg import Matrix, intersect, nullspace
 from mayerpath.omega import omega_full, omega_nq
 from mayerpath.structure import (
     FaceType,
@@ -202,6 +204,64 @@ def test_combined_chain_and_isolated_component_survive_together():
         assert labels == [2, 5, 7, 8]
         search = minimal_clusters(P, N)
         assert sorted(c.family for c in search.clusters) == ["T2", "T6"]
+
+
+def _reference_clusters(P, N, circuit_bound):
+    """(endpoints, components) of each minimal cluster, and the truncated pairs.
+
+    The search of ``minimal_clusters`` run on the Q(zeta_N) rows of the
+    assembled d^1 matrix (its non-allowed block, entries zeta^j) instead
+    of the rational 0/1 rows.
+    """
+    rows = boundary_power_matrix(P, 3, 1, N).nonallowed_block().row_dicts()
+    paths = P.paths(3)
+    by_pair = {}
+    for idx, p in enumerate(paths):
+        by_pair.setdefault((p[0], p[-1]), []).append(idx)
+
+    def kernel(cols):
+        pos = {c: i for i, c in enumerate(cols)}
+        local = [{pos[c]: v for c, v in row.items() if c in pos} for row in rows]
+        return nullspace(Matrix.from_row_dicts([r for r in local if r], len(cols), N))
+
+    clusters, truncated = [], []
+    for pair, cols in sorted(by_pair.items()):
+        if kernel(cols).dim == 0:
+            continue
+        if len(cols) > circuit_bound:
+            truncated.append(pair)
+        found = []
+        for size in range(1, min(circuit_bound, len(cols)) + 1):
+            for subset in combinations(cols, size):
+                if any(f <= set(subset) for f in found):
+                    continue
+                space = kernel(subset)
+                if space.dim == 1 and all(space.basis[0]):
+                    found.append(set(subset))
+                    clusters.append((pair, tuple(zip((paths[c] for c in subset),
+                                                     space.basis[0]))))
+    return clusters, truncated
+
+
+def test_minimal_clusters_equal_the_cyclotomic_reference():
+    """Fixtures and seeded digraphs with antiparallel pairs, N = 2..5."""
+    from conftest import antiparallel_complexes
+
+    rng = random.Random(919)
+    complexes = [(load_fixture(name), 8) for name in DIGRAPH_FIXTURES]
+    complexes += [(P, 2 + 4 * (i % 2))
+                  for i, (_, P) in enumerate(antiparallel_complexes(rng, 30, 3, 200))]
+    seen = {"clusters": 0, "truncated": 0}
+    for P, bound in complexes:
+        for N in range(2, 6):
+            search = minimal_clusters(P, N, circuit_bound=bound)
+            clusters, truncated = _reference_clusters(P, N, bound)
+            assert [(c.endpoints, c.components) for c in search.clusters] == clusters, \
+                (P.digest(), N)
+            assert search.truncated == truncated, (P.digest(), N)
+            seen["clusters"] += len(clusters)
+            seen["truncated"] += len(truncated)
+    assert seen["clusters"] and seen["truncated"], seen
 
 
 def test_special_edges_examples(diamond):
