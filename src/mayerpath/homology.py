@@ -230,6 +230,9 @@ def poincare_identity_check(P: PathComplex, N: int, q: int,
 # arithmetic and the path enumeration with the main engine: boundary
 # images are re-derived inline, and all linear algebra is dense list-of-
 # lists elimination with a bottom-up pivot rule and no subspace classes.
+# Each table of unit-chain images d^power p is built once per call and
+# shared by the Omega levels, the cycle kernels and the boundary images;
+# containment of boundaries in cycles is one elimination per (n, q) cell.
 
 
 def _oracle_boundary_vectors(paths, target_index, power, N):
@@ -271,7 +274,7 @@ def _dense_eliminate(rows: list[list[Scalar]]) -> list[list[Scalar]]:
     if not rows:
         return []
     cols = len(rows[0])
-    used: list[int] = []
+    used: set[int] = set()
     pivot_of: list[tuple[int, int]] = []
     for c in range(cols):
         pr = None
@@ -282,12 +285,12 @@ def _dense_eliminate(rows: list[list[Scalar]]) -> list[list[Scalar]]:
         if pr is None:
             continue
         inv = rows[pr][c].inverse()
-        rows[pr] = [v * inv for v in rows[pr]]
+        rows[pr] = [v * inv if v else v for v in rows[pr]]
         for i in range(len(rows)):
             if i != pr and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        used.append(pr)
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[pr])]
+        used.add(pr)
         pivot_of.append((c, pr))
     return [rows[pr] for (_, pr) in pivot_of]
 
@@ -335,25 +338,27 @@ def _dense_intersect(a: list[list[Scalar]], b: list[list[Scalar]], cols: int, N:
     return _dense_eliminate(out) if out else []
 
 
-def _dense_contains(space: list[list[Scalar]], vector: list[Scalar]) -> bool:
-    ech = _dense_eliminate(space + [vector]) if space else ([vector] if any(vector) else [])
-    return len(ech) == len(_dense_eliminate(space))
-
-
 def brute_force_oracle(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
     """Recompute the full Betti table with the dense engine."""
     omega_cache: dict[int, list[list[Scalar]]] = {}
+    image_tables: dict[tuple[int, int], tuple[dict, list]] = {}
+
+    def unit_images(n: int, power: int) -> tuple[dict, list]:
+        """(index of the (n-power)-paths, d^power of every unit n-chain), built once."""
+        key = (n, power)
+        if key not in image_tables:
+            target = {p: i for i, p in enumerate(P.paths(n - power))} if n - power >= 0 else {}
+            image_tables[key] = target, _oracle_boundary_vectors(P.paths(n), target, power, N)
+        return image_tables[key]
 
     def omega_dense(n: int) -> list[list[Scalar]]:
         if n in omega_cache:
             return omega_cache[n]
-        paths = P.paths(n)
-        cols = len(paths)
+        cols = len(P.paths(n))
         one, zero = Scalar.one(N), Scalar.zero(N)
         space = [[one if i == j else zero for j in range(cols)] for i in range(cols)]
         for q in range(1, min(N - 1, n - 1) + 1):
-            target = {p: i for i, p in enumerate(P.paths(n - q))}
-            vecs = _oracle_boundary_vectors(paths, target, q, N)
+            _, vecs = unit_images(n, q)
             extra_paths = sorted({f for _, extra in vecs for f in extra})
             if extra_paths:
                 constraint_rows = []
@@ -366,15 +371,15 @@ def brute_force_oracle(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
         return space
 
     def apply_dense_power(vec: list[Scalar], n: int, power: int):
-        paths = P.paths(n)
-        target = {p: i for i, p in enumerate(P.paths(n - power))} if n - power >= 0 else {}
-        unit_images = _oracle_boundary_vectors(paths, target, power, N)
+        target, images = unit_images(n, power)
         out = [Scalar.zero(N)] * len(target)
         escaped: dict = {}
-        for w, (img, extra) in zip(vec, unit_images):
+        for w, (img, extra) in zip(vec, images):
             if not w:
                 continue
-            out = [x + w * y for x, y in zip(out, img)]
+            for i, b in enumerate(img):
+                if b:
+                    out[i] = out[i] + w * b
             for f, c in extra.items():
                 cur = escaped.get(f, Scalar.zero(N))
                 val = cur + w * c
@@ -393,9 +398,7 @@ def brute_force_oracle(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
             if n - q < 0:
                 z_space = omega_n
             else:
-                paths = P.paths(n)
-                target = {p: i for i, p in enumerate(P.paths(n - q))}
-                vecs = _oracle_boundary_vectors(paths, target, q, N)
+                target, vecs = unit_images(n, q)
                 all_rows_paths = list(P.paths(n - q)) + sorted(
                     {f for _, extra in vecs for f in extra}
                 )
@@ -422,11 +425,12 @@ def brute_force_oracle(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
                 if any(img):
                     b_vectors.append(img)
             b_space = _dense_eliminate(b_vectors) if b_vectors else []
-            for bv in b_space:
-                if not _dense_contains(z_space, bv):
-                    raise ImageEscapesAllowed(
-                        "oracle: boundaries not contained in cycles"
-                    )
+            # z_space holds independent echelon rows, so B is inside Z
+            # exactly when stacking B under them adds no rank.
+            if len(_dense_eliminate(z_space + b_space)) != len(z_space):
+                raise ImageEscapesAllowed(
+                    "oracle: boundaries not contained in cycles"
+                )
             entries[(n, q)] = len(z_space) - len(b_space)
 
     omega_dims = {n: len(omega_dense(n)) for n in range(max_dim + 1)}

@@ -11,9 +11,7 @@ import subprocess
 import sys
 import time
 
-import pytest
-
-from conftest import bounded_random_complex, library_env, random_digraph
+from conftest import bounded_random_complex, library_env
 from mayerpath.boundary import kapranov_expansion_check
 from mayerpath.complexes import path_complex_from_digraph
 from mayerpath.cycles import UndirectedCycle, is_admissible, z1_generators, z1_kernel_space

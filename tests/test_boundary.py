@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 

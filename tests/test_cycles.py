@@ -27,7 +27,6 @@ def square_cycle(name):
 
 
 def chain_vector(g, chain, N):
-    from mayerpath.complexes import path_complex_from_digraph
     kernel, basis = z1_kernel_space(g, N)
     vec = [Scalar.zero(N)] * len(basis)
     for e, c in chain.items():

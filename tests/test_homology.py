@@ -9,6 +9,7 @@ from mayerpath.fixtures import ALL_FIXTURES, load_digraph, load_fixture
 from mayerpath import linalg
 from mayerpath.homology import (
     ImageEscapesAllowed,
+    _dense_eliminate,
     betti,
     betti_table,
     boundary_space,
@@ -17,7 +18,6 @@ from mayerpath.homology import (
     poincare_identity_check,
 )
 from mayerpath.linalg import NotASubspace, quotient_dim
-from mayerpath.omega import omega_full
 
 
 def vec_of(P, n, terms, N):
@@ -225,6 +225,47 @@ def test_certificates_stay_sound_under_the_least_prime(monkeypatch):
         kinds["refused" if got == "refused" else "table"] += 1
     kinds.update("one prime" if primes == 1 else "several primes" for primes in calls)
     assert all(kinds[k] for k in ("table", "refused", "one prime", "several primes")), kinds
+
+
+def _escapes_one_vector_at_a_time(P, N, max_dim):
+    """Whether some boundary basis vector lies outside its cycle space.
+
+    Each vector of B_n^{N,q} is tested alone against Z_n^{N,q}: it is
+    outside exactly when stacking it under Z raises the rank.
+    """
+    for n in range(max_dim + 1):
+        for q in range(1, N):
+            z = [list(row) for row in cycle_space(P, n, q, N).basis]
+            rank = len(_dense_eliminate(z))
+            for b in boundary_space(P, n, q, N).basis:
+                if len(_dense_eliminate(z + [list(b)])) != rank:
+                    return True
+    return False
+
+
+def test_oracle_refuses_exactly_where_a_boundary_vector_escapes():
+    """The oracle's one containment elimination per cell decides as the per-vector test does.
+
+    Betti dimensions 0..1 already reach the first dimension, N, where d^N
+    can fail to vanish, and keep the dense oracle's cost small.
+    """
+    from conftest import antiparallel_complexes
+
+    outcomes = Counter()
+    for _, P in antiparallel_complexes(random.Random(7), 40, 2, 120):
+        for N in (2, 3, 4):
+            escapes = _escapes_one_vector_at_a_time(P, N, 1)
+            try:
+                oracle = brute_force_oracle(P, N, 1)
+            except ImageEscapesAllowed as exc:
+                assert str(exc) == "oracle: boundaries not contained in cycles"
+                assert escapes, (P.digest(), N)
+                outcomes["refused"] += 1
+                continue
+            assert not escapes, (P.digest(), N)
+            assert oracle == betti_table(P, N, 1), (P.digest(), N)
+            outcomes["table"] += 1
+    assert outcomes["refused"] and outcomes["table"], outcomes
 
 
 def test_double_edge_homology_is_rejected_beyond_order_two():

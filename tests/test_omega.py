@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mayerpath.boundary import boundary_power_matrix, verify_nilpotency
-from mayerpath.complexes import Digraph, PathComplex, parse_digraph, path_complex_from_digraph
+from mayerpath.complexes import Digraph, PathComplex, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.fixtures import ALL_FIXTURES, DIGRAPH_FIXTURES, load_digraph, load_fixture
 from mayerpath.linalg import InvariantViolation, Matrix, Subspace, nullspace

@@ -7,7 +7,7 @@ from mayerpath.boundary import boundary_power_matrix
 from mayerpath.complexes import parse_digraph, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.fixtures import DIGRAPH_FIXTURES, fixture_text, load_fixture
-from mayerpath.linalg import Matrix, intersect, nullspace
+from mayerpath.linalg import Matrix, nullspace
 from mayerpath.omega import omega_full, omega_nq
 from mayerpath.structure import (
     FaceType,
