@@ -6,8 +6,13 @@ antiparallel pairs allowed in every odd case, at N = 2 + (i // 2) % 4,
 and redraws until the paths of the dimensions the table reads
 (0 .. max_dim + N - 1) number at most BUDGET.  Each line holds the
 case, then the sha256 of the table's JSON, or ``refused`` where
-``betti_table`` raises ``NotASubspace``.  The library is imported from
-the checkout's ``src/``, so two checkouts compare with ``diff``:
+``betti_table`` raises ``NotASubspace``, then the sha256 of the stdout
+of ``omega --show-basis --format json --max-dim 3`` on the same digraph,
+so the Omega bases are compared too.  The command runs in process
+through ``mayerpath.cli.main`` on the digraph written to a temporary
+JSON digraph file, which keeps isolated vertices; a nonzero exit code
+is printed in place of the digest.  The library is imported from the
+checkout's ``src/``, so two checkouts compare with ``diff``:
 
     python3 scripts/betti_sweep.py > after.txt
     python3 scripts/betti_sweep.py --root ../parent > before.txt
@@ -19,10 +24,13 @@ A tally of tables and refusals goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 MAX_DIM = 3
@@ -51,6 +59,20 @@ def case(i: int, Digraph, path_complex_from_digraph):
             return g, N
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def omega_digest(cli_main, g, N: int, path: Path) -> str:
+    """sha256 of the stdout of ``omega --show-basis`` on g, or the exit code where it fails."""
+    path.write_text(json.dumps(g.to_json()), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["omega", "--input", str(path), "--N", str(N), "--show-basis",
+                         "--format", "json", "--max-dim", str(MAX_DIM)])
+    return sha256(out.getvalue()) if code == 0 else f"exit-{code}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -60,6 +82,7 @@ def main() -> int:
     src = args.root.resolve() / "src"
     sys.path.insert(0, str(src))
     import mayerpath
+    from mayerpath.cli import main as cli_main
     from mayerpath.complexes import Digraph, path_complex_from_digraph
     from mayerpath.homology import betti_table
     from mayerpath.linalg import NotASubspace
@@ -67,16 +90,19 @@ def main() -> int:
     if Path(mayerpath.__file__).resolve().parent != src / "mayerpath":
         raise SystemExit(f"error: imported mayerpath from {mayerpath.__file__}")
     refused = 0
-    for i in range(COUNT):
-        g, N = case(i, Digraph, path_complex_from_digraph)
-        try:
-            table = betti_table(path_complex_from_digraph(g, MAX_DIM), N, MAX_DIM)
-            text = json.dumps(table.to_json_dict(), sort_keys=True)
-            result = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        except NotASubspace:
-            result = "refused"
-            refused += 1
-        print(f"{i} vertices={g.n} edges={len(g.edges)} N={N} {result}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.json"
+        for i in range(COUNT):
+            g, N = case(i, Digraph, path_complex_from_digraph)
+            try:
+                table = betti_table(path_complex_from_digraph(g, MAX_DIM), N, MAX_DIM)
+                result = sha256(json.dumps(table.to_json_dict(), sort_keys=True))
+            except NotASubspace:
+                result = "refused"
+                refused += 1
+            omega = omega_digest(cli_main, g, N, path)
+            print(f"{i} vertices={g.n} edges={len(g.edges)} N={N} {result} omega={omega}",
+                  flush=True)
     print(f"{COUNT} cases; {COUNT - refused} tables, {refused} refused",
           file=sys.stderr)
     return 0

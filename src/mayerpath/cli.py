@@ -138,7 +138,7 @@ def cmd_omega(args) -> int:
                 basis = []
                 for row in space.basis:
                     terms = [f"({c.render()})*{P.path_label(paths[i])}"
-                             for i, c in enumerate(row) if c]
+                             for i, c in row.items()]
                     basis.append(" + ".join(terms))
                 entry["basis"] = basis
                 lines.extend(f"  {b}" for b in basis)

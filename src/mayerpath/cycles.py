@@ -235,7 +235,8 @@ def merge_element(I: UndirectedCycle, J: UndirectedCycle, N: int) -> WeightedCha
         sol_space = nullspace(Matrix.from_row_dicts(rows, 3, N))
         if sol_space.dim == 0:
             raise NotApplicable("junction system has no nonzero solution")
-        weights = sol_space.basis[0]
+        w = sol_space.basis[0]
+        weights = (w.get(0), w.get(1), w.get(2))
     else:
         v = min(shared_vertices)
         p2 = list(_rotate_to(I, v).steps)
@@ -248,11 +249,11 @@ def merge_element(I: UndirectedCycle, J: UndirectedCycle, N: int) -> WeightedCha
         if sol_space.dim == 0:
             raise NotApplicable("junction system has no nonzero solution")
         w = sol_space.basis[0]
-        weights = (None, w[0], w[1])
+        weights = (None, w.get(0), w.get(1))
 
     chain: WeightedChain = {}
     for path, w0 in zip(paths, weights):
-        if not path or w0 is None or not w0:
+        if not path or w0 is None:
             continue
         y = w0
         for j, step in enumerate(path):
@@ -426,15 +427,7 @@ def z1_generators(g: Digraph, N: int) -> Z1Result:
 
     kernel, edge_basis = z1_kernel_space(g, N)
     index = {e: i for i, e in enumerate(edge_basis)}
-    zero = Scalar.zero(N)
-
-    def to_vector(chain: WeightedChain):
-        vec = [zero] * len(edge_basis)
-        for e, c in chain.items():
-            vec[index[e]] = c
-        return tuple(vec)
-
-    vectors = [to_vector(gen.chain) for gen in generators]
+    vectors = [{index[e]: c for e, c in gen.chain.items()} for gen in generators]
     for vec in vectors:
         if not kernel.contains(vec):
             raise InvariantViolation("generator is not a kernel element")
@@ -443,7 +436,7 @@ def z1_generators(g: Digraph, N: int) -> Z1Result:
     if shortfall:
         for kv in kernel.basis:
             if not span.contains(kv):
-                chain = {edge_basis[i]: c for i, c in enumerate(kv) if c}
+                chain = {edge_basis[i]: c for i, c in kv.items()}
                 generators.append(Z1Generator("completion", chain))
                 span = Subspace.from_spanning(
                     list(span.basis) + [kv], len(edge_basis), N)

@@ -63,11 +63,7 @@ def boundary_space(P: PathComplex, n: int, q: int, N: int) -> Subspace:
     """B_n^{N,q}: images of invariant (n+N-q)-chains under d^(N-q)."""
     if not 1 <= q <= N - 1:
         raise ValueError("need 1 <= q <= N-1")
-    ambient = len(P.paths(n))
-    zero = Scalar.zero(N)
-    vectors = [tuple(y.get(i, zero) for i in range(ambient))
-               for y in _exact_images(P, n + N - q, N - q, N)]
-    return Subspace.from_spanning(vectors, ambient, N)
+    return Subspace.from_spanning(_exact_images(P, n + N - q, N - q, N), len(P.paths(n)), N)
 
 
 def _check_containment(P: PathComplex, n: int, q: int, N: int) -> None:

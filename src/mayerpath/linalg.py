@@ -7,8 +7,10 @@ pivot rows only when a free column is left.  ``Subspace.from_spanning``
 and ``intersect`` run Gauss-Jordan with a fixed pivot rule (first row
 with a nonzero entry, scanning columns left to right).  The RREF of a
 row space is unique, so every emitted basis is reproducible.  Subspaces
-are stored as reduced row echelon bases, which makes the representation
-canonical: two subspaces are equal iff their stored rows are identical.
+are stored as reduced row echelon bases of sparse rows, each a dict of
+its nonzero entries with keys in ascending column order, the same form
+the eliminations work in.  The representation is canonical: two
+subspaces are equal iff their stored rows are identical.
 
 ``certified_rank`` ranks rows over the ring of integers Z[zeta_N], each
 entry a tuple of phi(N) ints in the power basis, with no arithmetic in
@@ -52,7 +54,7 @@ class AmbientMismatch(ValueError):
 
 
 class NotASubspace(ValueError):
-    """Quotient requested by a space that is not contained in the numerator."""
+    """Boundaries that escape the cycles, so the homology quotient is undefined."""
 
 
 class InvariantViolation(RuntimeError):
@@ -259,11 +261,19 @@ def certified_rank(rows: list[IntRow], order: int) -> int:
 
 
 class Subspace:
-    """A subspace of Scalar^ambient_dim with its canonical RREF basis."""
+    """A subspace of Q(zeta_N)^ambient_dim with its canonical RREF basis.
+
+    Each basis row is a sparse ``Row``: a dict of its nonzero entries,
+    keys in ascending column order.  Row i is 1 at ``pivot_cols[i]`` and 0
+    at every other pivot column, and ``pivot_cols`` strictly increases.
+    Vectors passed in are rows of the same form, except that their keys
+    may come in any order and zero values are dropped; a column outside
+    [0, ambient_dim) raises ``AmbientMismatch``.
+    """
 
     __slots__ = ("ambient_dim", "order", "basis", "pivot_cols")
 
-    def __init__(self, ambient_dim: int, order: int, basis: tuple[tuple[Scalar, ...], ...],
+    def __init__(self, ambient_dim: int, order: int, basis: tuple[Row, ...],
                  pivot_cols: tuple[int, ...]):
         self.ambient_dim = ambient_dim
         self.order = order
@@ -272,17 +282,9 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors, ambient_dim: int, order: int) -> "Subspace":
-        rows = []
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch("spanning vector has wrong length")
-            rows.append({i: s for i, s in enumerate(v) if s})
+        rows = [_checked(v, ambient_dim) for v in vectors]
         reduced, pivots = _reduce_rows(rows, ambient_dim)
-        zero = Scalar.zero(order)
-        basis = tuple(
-            tuple(row.get(j, zero) for j in range(ambient_dim))
-            for row in reduced[: len(pivots)]
-        )
+        basis = tuple(dict(sorted(row.items())) for row in reduced[: len(pivots)])
         return cls(ambient_dim, order, basis, tuple(pivots))
 
     @classmethod
@@ -291,12 +293,9 @@ class Subspace:
 
     @classmethod
     def full_space(cls, ambient_dim: int, order: int) -> "Subspace":
-        one, zero = Scalar.one(order), Scalar.zero(order)
-        basis = tuple(
-            tuple(one if i == j else zero for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(ambient_dim, order, basis, tuple(range(ambient_dim)))
+        one = Scalar.one(order)
+        return cls(ambient_dim, order, tuple({i: one} for i in range(ambient_dim)),
+                   tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -306,25 +305,17 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim or self.order != other.order:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
-    def reduce(self, vector) -> list[Scalar]:
+    def reduce(self, vector: Row) -> Row:
         """Residual of vector after reduction against the basis."""
-        if len(vector) != self.ambient_dim:
-            raise AmbientMismatch("vector has wrong length")
-        residual = list(vector)
+        residual = _checked(vector, self.ambient_dim)
         for row, p in zip(self.basis, self.pivot_cols):
-            f = residual[p]
-            if f:
-                for j in range(self.ambient_dim):
-                    if row[j]:
-                        residual[j] = residual[j] - f * row[j]
+            f = residual.get(p)
+            if f is not None:
+                _sub_scaled(residual, row, f)
         return residual
 
-    def contains(self, vector) -> bool:
-        return not any(self.reduce(vector))
-
-    def contains_space(self, other: "Subspace") -> bool:
-        self._check(other)
-        return all(self.contains(row) for row in other.basis)
+    def contains(self, vector: Row) -> bool:
+        return not self.reduce(vector)
 
     def __eq__(self, other) -> bool:
         return (
@@ -335,10 +326,18 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.order, self.basis))
+        return hash((self.ambient_dim, self.order, tuple(tuple(row.items()) for row in self.basis)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, N={self.order})"
+
+
+def _checked(vector: Row, ambient_dim: int) -> Row:
+    """A copy of vector without its zero values; raises where a column leaves the ambient space."""
+    row = {c: s for c, s in vector.items() if s}
+    if row and (min(row) < 0 or max(row) >= ambient_dim):
+        raise AmbientMismatch(f"vector has a column outside [0, {ambient_dim})")
+    return row
 
 
 def nullspace(m: Matrix) -> Subspace:
@@ -363,16 +362,15 @@ def nullspace(m: Matrix) -> Subspace:
                 f = row.get(lead[i])
                 if f:
                     _sub_scaled(row, below, f)
-        zero, one = Scalar.zero(m.order), Scalar.one(m.order)
+        one = Scalar.one(m.order)
         vectors = []
         for f in free:
-            vec = [zero] * m.cols
-            vec[f] = one
+            vec = {f: one}
             for p in lead:
                 coef = pivots[p].get(f)
                 if coef:
                     vec[p] = -coef
-            vectors.append(tuple(vec))
+            vectors.append(vec)
         space = Subspace.from_spanning(vectors, m.cols, m.order)
     if space.dim + rk != m.cols:
         raise InvariantViolation("rank-nullity violated")
@@ -385,27 +383,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     amb = a.ambient_dim
     rows: list[Row] = []
     for vec in a.basis:
-        row = {i: s for i, s in enumerate(vec) if s}
-        row.update({i + amb: s for i, s in enumerate(vec) if s})
+        row = dict(vec)
+        row.update((i + amb, s) for i, s in vec.items())
         rows.append(row)
-    for vec in b.basis:
-        rows.append({i: s for i, s in enumerate(vec) if s})
+    rows.extend(b.basis)
     reduced, pivots = _reduce_rows(rows, 2 * amb)
-    zero = Scalar.zero(a.order)
-    vectors = []
-    for row in reduced[: len(pivots)]:
-        if all(c >= amb for c in row):
-            vectors.append(tuple(row.get(j + amb, zero) for j in range(amb)))
+    vectors = [{c - amb: s for c, s in row.items()}
+               for row in reduced[: len(pivots)] if min(row) >= amb]
     return Subspace.from_spanning(vectors, amb, a.order)
-
-
-def quotient_dim(z: Subspace, b: Subspace) -> int:
-    """dim(z/b), asserting b is actually contained in z."""
-    z._check(b)
-    for row in b.basis:
-        if not z.contains(row):
-            raise NotASubspace(
-                "denominator space is not contained in the numerator; "
-                "the chain-complex invariant d^q d^(N-q) = 0 failed upstream"
-            )
-    return z.dim - b.dim

@@ -21,9 +21,12 @@ column of the row of f deletes the same position j = i + 1.  The kernel
 of the rows is then a kernel over Q: a row with a single live column
 forces that column to zero and is peeled off (structured Gaussian
 elimination, LaMacchia-Odlyzko), the few rows left are eliminated by
-``nullspace`` over Q = Q(zeta_1), and the rational basis is embedded in
-Q(zeta_N).  A space spanned by rational vectors has the same reduced row
-echelon basis over Q and over Q(zeta_N), so the basis stays canonical.
+``nullspace`` over Q = Q(zeta_1), and each sparse rational basis row
+becomes a Q(zeta_N) row by reading its Fractions as Scalars (``_embed``).
+A space spanned by rational vectors has the same reduced row echelon
+basis over Q and over Q(zeta_N), so the basis stays canonical.  Every
+basis is a ``linalg.Subspace`` of sparse rows, the form the eliminations
+and ``apply_regular_power`` work in, so no level converts its rows.
 The 0/1 fact is checked where each row is built: a non-allowed end face,
 or a non-allowed face reached by deleting two different positions,
 raises ``InvariantViolation``.
@@ -169,27 +172,17 @@ def _ordinary_omega(P: PathComplex, m: int) -> tuple[list[dict], tuple[int, ...]
         rest = [{index[c]: one for c in r if live[c]} for r, k in zip(rows, count) if k]
         kernel = (nullspace(Matrix.from_row_dicts(rest, len(cols), 1)) if rest
                   else Subspace.full_space(len(cols), 1))
-        basis = [{cols[i]: v.coeffs[0] for i, v in enumerate(row) if v} for row in kernel.basis]
+        basis = [{cols[i]: v.coeffs[0] for i, v in row.items()} for row in kernel.basis]
         cached = P._memo[key] = (basis, tuple(cols[i] for i in kernel.pivot_cols))
     return cached
 
 
 def _embed(P: PathComplex, m: int, N: int) -> Subspace:
     """Omega^(1)_m in Q(zeta_N): the rational level-1 basis with embedded coefficients."""
-    ambient = len(P.paths(m))
     rows, pivots = _ordinary_omega(P, m)
-    zero = Scalar.zero(N)
-    scalars: dict = {}
-    basis = []
-    for row in rows:
-        vec = [zero] * ambient
-        for c, v in row.items():
-            s = scalars.get(v)
-            if s is None:
-                s = scalars[v] = Scalar.from_rational(N, v)
-            vec[c] = s
-        basis.append(tuple(vec))
-    return Subspace(ambient, N, tuple(basis), pivots)
+    scalars = {v: Scalar.from_rational(N, v) for v in {v for row in rows for v in row.values()}}
+    basis = tuple({c: scalars[v] for c, v in row.items()} for row in rows)
+    return Subspace(len(P.paths(m)), N, basis, pivots)
 
 
 def _kernel_within(space: Subspace, images: list[Row]) -> Subspace:
@@ -208,15 +201,12 @@ def _kernel_within(space: Subspace, images: list[Row]) -> Subspace:
     coeffs = nullspace(Matrix.from_row_dicts(list(rows.values()), space.dim, space.order))
     if coeffs.dim == 0:
         return Subspace.zero_space(space.ambient_dim, space.order)
-    basis = [{k: v for k, v in enumerate(b) if v} for b in space.basis]
-    zero = Scalar.zero(space.order)
     vectors = []
     for c in coeffs.basis:
         x: Row = {}
-        for ci, b in zip(c, basis):
-            if ci:
-                _sub_scaled(x, b, -ci)
-        vectors.append(tuple(x.get(k, zero) for k in range(space.ambient_dim)))
+        for i, ci in c.items():
+            _sub_scaled(x, space.basis[i], -ci)
+        vectors.append(x)
     return Subspace.from_spanning(vectors, space.ambient_dim, space.order)
 
 
@@ -314,8 +304,7 @@ def _integer_basis(P: PathComplex, m: int, j: int, N: int) -> tuple[list[IntRow]
             vectors = [{c: (v,) + zeros for c, v in row.items()}
                        for row in _ordinary_omega(P, m)[0]]
         else:
-            vectors = [{c: v.coeffs for c, v in enumerate(x) if v}
-                       for x in _level(P, m, j, N).basis]
+            vectors = [{c: v.coeffs for c, v in x.items()} for x in _level(P, m, j, N).basis]
         rows, scales = [], []
         for x in vectors:
             scale = math.lcm(*(a.denominator for t in x.values() for a in t))

@@ -135,13 +135,7 @@ def omega2_decompose(P: PathComplex, N: int) -> list[Omega2Generator]:
 
     paths = P.paths(2)
     index = {p: i for i, p in enumerate(paths)}
-    zero = Scalar.zero(N)
-    vectors = []
-    for g in gens:
-        vec = [zero] * len(paths)
-        for p, c in g.vector.items():
-            vec[index[p]] = c
-        vectors.append(tuple(vec))
+    vectors = [{index[p]: c for p, c in g.vector.items()} for g in gens]
     span = Subspace.from_spanning(vectors, len(paths), N)
     target = omega_full(P, 2, N).space
     if span != target:
@@ -293,18 +287,19 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
     for idx, p in enumerate(paths):
         by_pair.setdefault((p[0], p[-1]), []).append(idx)
 
+    # A non-allowed face of a 3-path drops an interior vertex, so the
+    # columns of its row share one endpoint pair.
+    pos = {c: i for col_idx in by_pair.values() for i, c in enumerate(col_idx)}
     one = Scalar.one(1)
-    rows = [{c: one for c in row} for row in _ordinary_rows(P, 3)]
+    rows_of: dict[tuple[int, int], list[dict[int, Scalar]]] = {}
+    for row in _ordinary_rows(P, 3):
+        p = paths[row[0]]
+        rows_of.setdefault((p[0], p[-1]), []).append({pos[c]: one for c in row})
     clusters: list[ClusterReport] = []
     truncated: list[tuple[int, int]] = []
 
     for pair, col_idx in sorted(by_pair.items()):
-        pos = {c: i for i, c in enumerate(col_idx)}
-        sub_rows = []
-        for row in rows:
-            local = {pos[c]: v for c, v in row.items() if c in pos}
-            if local:
-                sub_rows.append(local)
+        sub_rows = rows_of.get(pair, [])
         # quick exit when the whole cluster contributes nothing
         cluster_space = nullspace(Matrix.from_row_dicts(sub_rows, len(col_idx), 1))
         if cluster_space.dim == 0:
@@ -331,7 +326,7 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
                 if space.dim != 1:
                     raise InvariantViolation("minimal support cannot carry dim > 1")
                 vec = space.basis[0]
-                if not all(vec):
+                if len(vec) != size:
                     continue  # support is a proper subset; smaller circuit pending
                 found.append(sset)
                 comps = [paths[col_idx[i]] for i in subset]

@@ -28,10 +28,7 @@ def square_cycle(name):
 
 def chain_vector(g, chain, N):
     kernel, basis = z1_kernel_space(g, N)
-    vec = [Scalar.zero(N)] * len(basis)
-    for e, c in chain.items():
-        vec[basis.index(e)] = c
-    return kernel, vec
+    return kernel, {basis.index(e): c for e, c in chain.items()}
 
 
 def test_orientation_profiles():
@@ -108,7 +105,7 @@ def test_admissible_weights_hexagon():
     assert is_admissible(cyc, 3)
     w = admissible_weights(cyc, 3)
     kernel, vec = chain_vector(g, w, 3)
-    assert any(vec) and kernel.contains(vec)
+    assert any(vec.values()) and kernel.contains(vec)
 
 
 def test_admissible_weights_rejects():
@@ -135,7 +132,7 @@ def test_merge_shared_vertex_only():
     assert len(bad) == 2
     chain = merge_element(bad[0], bad[1], 3)
     kernel, vec = chain_vector(g, chain, 3)
-    assert kernel.contains(vec) and any(vec)
+    assert kernel.contains(vec) and any(vec.values())
 
 
 def test_merge_rejects_admissible_or_disjoint():
@@ -201,11 +198,9 @@ def test_z1_random_sweep():
             from mayerpath.linalg import Subspace
             vecs = []
             for gen in res.generators:
-                vec = [Scalar.zero(N)] * len(basis)
-                for e, c in gen.chain.items():
-                    vec[basis.index(e)] = c
+                vec = {basis.index(e): c for e, c in gen.chain.items()}
                 assert kernel.contains(vec)
-                vecs.append(tuple(vec))
+                vecs.append(vec)
             if vecs:
                 span = Subspace.from_spanning(vecs, len(basis), N)
                 assert span.dim == kernel.dim

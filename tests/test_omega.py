@@ -14,16 +14,10 @@ from mayerpath.omega import (OmegaSpace, _images, _integer_basis, _level, omega_
 
 
 def vec_of(P, n, terms):
-    """Dense coefficient vector over the allowed n-paths from label tuples."""
-    paths = P.paths(n)
-    idx = {p: i for i, p in enumerate(paths)}
-    N = next(iter(terms.values())).order
-    out = [Scalar.zero(N)] * len(paths)
+    """Sparse coefficient row over the allowed n-paths from label tuples."""
+    idx = {p: i for i, p in enumerate(P.paths(n))}
     label_index = {l: i for i, l in enumerate(P.labels)}
-    for labels, coeff in terms.items():
-        p = tuple(label_index[l] for l in labels)
-        out[idx[p]] = coeff
-    return out
+    return {idx[tuple(label_index[l] for l in labels)]: coeff for labels, coeff in terms.items()}
 
 
 def _apply(bm, x):
@@ -85,7 +79,7 @@ def test_full_space_contained_in_every_level(diamond):
         full = omega_full(diamond, 2, N).space
         for q in range(1, N):
             level = omega_nq(diamond, 2, q, N).space
-            assert level.contains_space(full)
+            assert all(level.contains(row) for row in full.basis)
 
 
 def test_simplicial_complexes_have_no_constraints(torus):
@@ -110,11 +104,11 @@ def test_chain_closure_fails_for_single_level_space(diamond):
     space = omega_nq(diamond, 3, 1, 3).space
     assert space.dim == 1
     bm = boundary_power_matrix(diamond, 3, 1, 3)
-    (image,) = [_apply(bm, dict(enumerate(x))) for x in space.basis]
+    (image,) = [_apply(bm, x) for x in space.basis]
     assert max(image) < bm.allowed_rows  # the image itself is allowed
     target = omega_nq(diamond, 2, 1, 3).space
-    vec = [image.get(i, Scalar.zero(3)) for i in range(bm.allowed_rows)]
-    assert not target.contains(vec)
+    assert target.ambient_dim == bm.allowed_rows
+    assert not target.contains(image)
 
 
 def test_omega_nilpotency_on_fixtures():
@@ -222,13 +216,9 @@ def _indexed(P, n, chain):
     return {index[p]: c for p, c in chain.items()}
 
 
-def _basis(P, n, N):
-    return [{i: c for i, c in enumerate(row) if c} for row in omega_full(P, n, N).space.basis]
-
-
 def _reference_nilpotency(P, N, n_max):
     for m in range(n_max + 1):
-        for x in _basis(P, m, N):
+        for x in omega_full(P, m, N).space.basis:
             for k in range(1, N):
                 x = _indexed(P, m - k, _step(P, m - k + 1, N, x))
                 assert x is not None  # d^k of an invariant chain stays allowed for k < N
@@ -239,11 +229,11 @@ def _reference_nilpotency(P, N, n_max):
 
 def _reference_closure(P, N, n):
     target = omega_full(P, n - 1, N).space
-    for x in _basis(P, n, N):
+    for x in omega_full(P, n, N).space.basis:
         y = _indexed(P, n - 1, _step(P, n, N, x))
         if y is None:
             return False
-        if not target.contains([y.get(i, Scalar.zero(N)) for i in range(target.ambient_dim)]):
+        if not target.contains(y):
             return False
     return True
 
@@ -356,6 +346,43 @@ def test_omega_full_equals_stacked_reference():
     assert cut_by_higher_levels
 
 
+def test_omega_bases_are_in_canonical_sparse_form():
+    """Each basis row of omega_full and omega_nq, n <= 3, N = 2..5, is a canonical sparse row.
+
+    Its keys ascend and lie in the ambient space, it stores no zero, it
+    leads with its pivot entry 1, and no other row has an entry in its
+    pivot column; the pivot columns strictly increase.  On the 11
+    fixtures and 20 seeded digraphs with an antiparallel pair.
+    """
+    from conftest import antiparallel_complexes
+
+    complexes = [load_fixture(name) for name in ALL_FIXTURES]
+    assert len(complexes) == 11
+    complexes += [P for _, P in antiparallel_complexes(random.Random(7), 20, 3, 200)]
+    seen = {"rows": 0, "rows with several entries": 0, "zeta entries": 0}
+    for P in complexes:
+        for N in range(2, 6):
+            one = Scalar.one(N)
+            for n in range(4):
+                spaces = [omega_full(P, n, N).space]
+                spaces += [omega_nq(P, n, q, N).space for q in range(1, N)]
+                for space in spaces:
+                    pivots = space.pivot_cols
+                    assert len(pivots) == space.dim
+                    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+                    for row, p in zip(space.basis, pivots):
+                        keys = list(row)
+                        assert all(a < b for a, b in zip(keys, keys[1:])), keys
+                        assert 0 <= keys[0] and keys[-1] < space.ambient_dim
+                        assert all(row.values())
+                        assert keys[0] == p and row[p] == one
+                        assert not set(pivots).intersection(keys[1:])
+                        seen["rows"] += 1
+                        seen["rows with several entries"] += len(row) > 1
+                        seen["zeta entries"] += any(any(v.coeffs[1:]) for v in row.values())
+    assert all(seen.values()), seen
+
+
 def _in_field(row, N):
     return {c: Scalar(N, tuple(Fraction(a) for a in t)) for c, t in row.items()}
 
@@ -374,8 +401,8 @@ def _check_integer_images(P, m, N):
     images = _images(P, m, N)
     nonzero = 0
     for i, (x, row, scale) in enumerate(zip(basis, rows, scales)):
-        assert scale == math.lcm(*(a.denominator for v in x for a in v.coeffs)), i
-        scaled = {c: v * scale for c, v in enumerate(x) if v}
+        assert scale == math.lcm(*(a.denominator for v in x.values() for a in v.coeffs)), i
+        scaled = {c: v * scale for c, v in x.items()}
         assert _in_field(row, N) == scaled, i
         for r in range(1, N):
             ref = _apply(boundary_power_matrix(P, m, r, N), scaled)
@@ -423,7 +450,7 @@ def test_integer_basis_clears_the_denominators_of_each_row():
     P = load_fixture("braid")
     factors = [Fraction(k + 2, 3 + 2 * k) for k in range(len(basis))]
     P._memo[("ordinary_omega", 2)] = (
-        [{c: v.coeffs[0] * f for c, v in enumerate(x) if v} for x, f in zip(basis, factors)],
+        [{c: v.coeffs[0] * f for c, v in x.items()} for x, f in zip(basis, factors)],
         (),
     )
     assert _check_integer_images(P, 2, 2)
@@ -434,7 +461,7 @@ def test_integer_basis_clears_the_denominators_of_each_row():
     assert space.dim and _level(P, 3, 2, 3) is space
     factor = Scalar(3, (Fraction(1, 2), Fraction(-2, 9)))
     P = load_fixture("trapezohedron_m2")
-    scaled = Subspace(space.ambient_dim, 3, tuple(tuple(v * factor for v in x)
+    scaled = Subspace(space.ambient_dim, 3, tuple({c: v * factor for c, v in x.items()}
                                                   for x in space.basis), space.pivot_cols)
     P._memo[("omega_full", 3, 3)] = OmegaSpace(3, 3, None, scaled)
     P._memo[("omega_level", 3, 2, 3)] = scaled

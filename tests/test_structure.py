@@ -198,7 +198,7 @@ def test_combined_chain_and_isolated_component_survive_together():
         full = omega_full(P, 3, N).space
         assert full.dim == 1
         vec = full.basis[0]
-        support = {P.paths(3)[i] for i, c in enumerate(vec) if c}
+        support = {P.paths(3)[i] for i in vec}
         assert extra in support and len(support) == 4
         labels = sorted(gamma_label(P, p) for p in support)
         assert labels == [2, 5, 7, 8]
@@ -236,10 +236,10 @@ def _reference_clusters(P, N, circuit_bound):
                 if any(f <= set(subset) for f in found):
                     continue
                 space = kernel(subset)
-                if space.dim == 1 and all(space.basis[0]):
+                if space.dim == 1 and len(space.basis[0]) == size:
                     found.append(set(subset))
                     clusters.append((pair, tuple(zip((paths[c] for c in subset),
-                                                     space.basis[0]))))
+                                                     space.basis[0].values()))))
     return clusters, truncated
 
 
