@@ -6,13 +6,15 @@ antiparallel pairs allowed in every odd case, at N = 2 + (i // 2) % 4,
 and redraws until the paths of the dimensions the table reads
 (0 .. max_dim + N - 1) number at most BUDGET.  Each line holds the
 case, then the sha256 of the table's JSON, or ``refused`` where
-``betti_table`` raises ``NotASubspace``, then the sha256 of the stdout
-of ``omega --show-basis --format json --max-dim 3`` on the same digraph,
-so the Omega bases are compared too.  The command runs in process
-through ``mayerpath.cli.main`` on the digraph written to a temporary
-JSON digraph file, which keeps isolated vertices; a nonzero exit code
-is printed in place of the digest.  The library is imported from the
-checkout's ``src/``, so two checkouts compare with ``diff``:
+``betti_table`` raises ``NotASubspace``, then the sha256 of the JSON
+stdout of three subcommands on the same digraph: ``omega=`` of
+``omega --show-basis --max-dim 3``, so the Omega bases are compared
+too, ``classify=`` of ``classify`` and ``cycles=`` of ``cycles``, so the
+classification and the degree-1 generators are.  Each command runs in
+process through ``mayerpath.cli.main`` on the digraph written to a
+temporary JSON digraph file, which keeps isolated vertices; a nonzero
+exit code is printed in place of the digest.  The library is imported
+from the checkout's ``src/``, so two checkouts compare with ``diff``:
 
     python3 scripts/betti_sweep.py > after.txt
     python3 scripts/betti_sweep.py --root ../parent > before.txt
@@ -63,13 +65,11 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def omega_digest(cli_main, g, N: int, path: Path) -> str:
-    """sha256 of the stdout of ``omega --show-basis`` on g, or the exit code where it fails."""
-    path.write_text(json.dumps(g.to_json()), encoding="utf-8")
+def cli_digest(cli_main, argv: list[str]) -> str:
+    """sha256 of the stdout of a CLI command, or its exit code where it fails."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli_main(["omega", "--input", str(path), "--N", str(N), "--show-basis",
-                         "--format", "json", "--max-dim", str(MAX_DIM)])
+        code = cli_main(argv + ["--format", "json"])
     return sha256(out.getvalue()) if code == 0 else f"exit-{code}"
 
 
@@ -100,8 +100,13 @@ def main() -> int:
             except NotASubspace:
                 result = "refused"
                 refused += 1
-            omega = omega_digest(cli_main, g, N, path)
-            print(f"{i} vertices={g.n} edges={len(g.edges)} N={N} {result} omega={omega}",
+            path.write_text(json.dumps(g.to_json()), encoding="utf-8")
+            common = ["--input", str(path), "--N", str(N)]
+            digests = " ".join(
+                f"{name}={cli_digest(cli_main, [name, *common, *extra])}"
+                for name, extra in (("omega", ["--show-basis", "--max-dim", str(MAX_DIM)]),
+                                    ("classify", []), ("cycles", [])))
+            print(f"{i} vertices={g.n} edges={len(g.edges)} N={N} {result} {digests}",
                   flush=True)
     print(f"{COUNT} cases; {COUNT - refused} tables, {refused} refused",
           file=sys.stderr)

@@ -152,6 +152,8 @@ def cmd_omega(args) -> int:
 
 def cmd_classify(args) -> int:
     _check_config(args)
+    if args.circuit_bound < 1:
+        raise InputError("circuit-bound must be >= 1")
     P, _ = _load_input(args.input, args.kind, args.max_dim)
     if P.source != "digraph":
         raise InputError("classification applies to digraph inputs")

@@ -205,6 +205,9 @@ class PathComplex:
     def from_simplicial(cls, maximal_simplices: list[tuple[str, ...]]) -> "PathComplex":
         if not maximal_simplices or any(len(s) == 0 for s in maximal_simplices):
             raise EmptySimplex("simplices must be nonempty")
+        for s in maximal_simplices:
+            if len(set(s)) != len(s):
+                raise ComplexError(f"simplex {list(s)} repeats a vertex")
         vertices = sorted({v for s in maximal_simplices for v in s}, key=_label_sort_key)
         index = {v: i for i, v in enumerate(vertices)}
         by_dim: dict[int, set[Path]] = {}

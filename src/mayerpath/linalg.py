@@ -1,16 +1,16 @@
 """Exact linear algebra over Q(zeta_N): ranks, nullspaces, subspace lattice ops.
 
-Matrices are sparse maps (row, col) -> Scalar.  ``nullspace`` runs one
-forward elimination that takes the rows one at a time, keeps only the
-pivot rows, stops at full column rank and back-substitutes among the
-pivot rows only when a free column is left.  ``Subspace.from_spanning``
-and ``intersect`` run Gauss-Jordan with a fixed pivot rule (first row
-with a nonzero entry, scanning columns left to right).  The RREF of a
-row space is unique, so every emitted basis is reproducible.  Subspaces
-are stored as reduced row echelon bases of sparse rows, each a dict of
-its nonzero entries with keys in ascending column order, the same form
-the eliminations work in.  The representation is canonical: two
-subspaces are equal iff their stored rows are identical.
+Matrices are sparse maps (row, col) -> Scalar.  There is one exact
+elimination, ``_rref``: ``_forward`` takes the rows one at a time, keeps
+only the pivot rows and stops at full column rank, then one
+back-substitution among the pivot rows gives the reduced row echelon
+form, which is unique whatever order the pivots are found in.
+Subspaces are stored as RREF bases of sparse rows, each a dict of its
+nonzero entries with keys in ascending column order, so two subspaces
+are equal iff their stored rows are identical.  Where an elimination
+already yields canonical rows, the basis is read off it and not reduced
+again: in ``intersect`` and ``omega._kernel_within`` (proofs in their
+docstrings).
 
 ``certified_rank`` ranks rows over the ring of integers Z[zeta_N], each
 entry a tuple of phi(N) ints in the power basis, with no arithmetic in
@@ -103,36 +103,7 @@ def _sub_scaled(target: Row, source: Row, factor: Scalar) -> None:
             target.pop(c, None)
 
 
-def _reduce_rows(rows: list[Row], cols: int) -> tuple[list[Row], list[int]]:
-    """In-place style Gauss-Jordan; returns (rows, pivot columns).
-
-    Pivot rule: for each column in ascending order, the first remaining
-    row with a nonzero entry there.  Pivot entries are normalised to 1
-    and cleared above and below, so surviving rows form an RREF basis.
-    """
-    rows = [dict(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, len(rows)):
-            if c in rows[i]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = {k: v * inv for k, v in rows[r].items()}
-        for i in range(len(rows)):
-            if i != r and c in rows[i]:
-                _sub_scaled(rows[i], rows[r], rows[i][c])
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def _forward(rows, full: int | None = None) -> dict[int, Row]:
+def _forward(rows, full: int) -> dict[int, Row]:
     """Forward elimination; returns the pivot rows keyed by leading column.
 
     Rows are taken one at a time and reduced against the pivot rows kept
@@ -156,6 +127,27 @@ def _forward(rows, full: int | None = None) -> dict[int, Row]:
         if len(pivots) == full:
             break
     return pivots
+
+
+def _rref(rows, cols: int) -> tuple[list[Row], list[int]]:
+    """The nonzero RREF rows of rows with ``cols`` columns, in pivot order, and their pivots.
+
+    ``_forward``, then back-substitution among its pivot rows, last pivot
+    first; a pivot row has no entry left of its pivot.  Each row comes
+    back with ascending keys.  The input rows are reduced in place.
+    """
+    pivots = _forward(rows, cols)
+    lead = sorted(pivots)
+    if lead == list(range(cols)):  # a pivot in every column: the unit rows
+        return [{c: pivots[c][c]} for c in lead], lead
+    for i in reversed(range(len(lead))):
+        below = pivots[lead[i]]
+        for c in lead[:i]:
+            row = pivots[c]
+            f = row.get(lead[i])
+            if f:
+                _sub_scaled(row, below, f)
+    return [dict(sorted(pivots[c].items())) for c in lead], lead
 
 
 def _is_prime(n: int) -> bool:
@@ -282,14 +274,8 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors, ambient_dim: int, order: int) -> "Subspace":
-        rows = [_checked(v, ambient_dim) for v in vectors]
-        reduced, pivots = _reduce_rows(rows, ambient_dim)
-        basis = tuple(dict(sorted(row.items())) for row in reduced[: len(pivots)])
-        return cls(ambient_dim, order, basis, tuple(pivots))
-
-    @classmethod
-    def zero_space(cls, ambient_dim: int, order: int) -> "Subspace":
-        return cls(ambient_dim, order, (), ())
+        basis, pivots = _rref([_checked(v, ambient_dim) for v in vectors], ambient_dim)
+        return cls(ambient_dim, order, tuple(basis), tuple(pivots))
 
     @classmethod
     def full_space(cls, ambient_dim: int, order: int) -> "Subspace":
@@ -326,7 +312,8 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.order, tuple(tuple(row.items()) for row in self.basis)))
+        rows = tuple(frozenset(row.items()) for row in self.basis)  # __eq__ ignores key order
+        return hash((self.ambient_dim, self.order, rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, N={self.order})"
@@ -343,42 +330,37 @@ def _checked(vector: Row, ambient_dim: int) -> Row:
 def nullspace(m: Matrix) -> Subspace:
     """Canonical basis of {x : m x = 0}; dim = cols - rank (checked).
 
-    One forward elimination of the rows, which stops at full column rank
-    (the zero space).  Otherwise back-substitution among the pivot rows
-    gives the RREF, and the vectors of its free columns are brought to
-    the canonical basis.
+    The RREF of the rows (``_rref``, which stops at full column rank),
+    then the vectors of its free columns brought to the canonical basis.
     """
-    pivots = _forward(m.row_dicts(), m.cols)
-    rk = len(pivots)
-    free = [c for c in range(m.cols) if c not in pivots]
-    if not free:
-        space = Subspace.zero_space(m.cols, m.order)
-    else:
-        lead = sorted(pivots)
-        for i in reversed(range(rk)):
-            below = pivots[lead[i]]
-            for c in lead[:i]:
-                row = pivots[c]
-                f = row.get(lead[i])
-                if f:
-                    _sub_scaled(row, below, f)
-        one = Scalar.one(m.order)
-        vectors = []
-        for f in free:
-            vec = {f: one}
-            for p in lead:
-                coef = pivots[p].get(f)
-                if coef:
-                    vec[p] = -coef
-            vectors.append(vec)
-        space = Subspace.from_spanning(vectors, m.cols, m.order)
-    if space.dim + rk != m.cols:
+    rows, lead = _rref(m.row_dicts(), m.cols)
+    free = sorted(set(range(m.cols)).difference(lead))
+    one = Scalar.one(m.order)
+    vectors = []
+    for f in free:
+        vec = {f: one}
+        for row, p in zip(rows, lead):
+            coef = row.get(f)
+            if coef:
+                vec[p] = -coef
+        vectors.append(vec)
+    space = Subspace.from_spanning(vectors, m.cols, m.order)
+    if space.dim + len(lead) != m.cols:
         raise InvariantViolation("rank-nullity violated")
     return space
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block construction."""
+    """Intersection via the Zassenhaus block construction.
+
+    The rows (a_i | a_i) and (b_j | 0) span the pairs (u + v, u), u in A,
+    v in B; such a pair has left half 0 exactly when u = -v, so the pairs
+    with left half 0 are the (0, w), w in A cap B.  In the RREF of the
+    rows, those with a pivot at a column >= ambient have no entry left of
+    it: they span exactly these pairs.  Each is 1 at its pivot and 0 at
+    every other pivot, and the pivots increase, so their right halves,
+    shifted left by ambient, are already the canonical basis of A cap B.
+    """
     a._check(b)
     amb = a.ambient_dim
     rows: list[Row] = []
@@ -386,8 +368,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         row = dict(vec)
         row.update((i + amb, s) for i, s in vec.items())
         rows.append(row)
-    rows.extend(b.basis)
-    reduced, pivots = _reduce_rows(rows, 2 * amb)
-    vectors = [{c - amb: s for c, s in row.items()}
-               for row in reduced[: len(pivots)] if min(row) >= amb]
-    return Subspace.from_spanning(vectors, amb, a.order)
+    rows.extend(dict(vec) for vec in b.basis)  # copies: _rref reduces them in place
+    reduced, pivots = _rref(rows, 2 * amb)
+    k = sum(p < amb for p in pivots)
+    basis = tuple({c - amb: s for c, s in row.items()} for row in reduced[k:])
+    return Subspace(amb, a.order, basis, tuple(p - amb for p in pivots[k:]))

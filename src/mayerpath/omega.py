@@ -188,9 +188,16 @@ def _embed(P: PathComplex, m: int, N: int) -> Subspace:
 def _kernel_within(space: Subspace, images: list[Row]) -> Subspace:
     """Canonical basis of the x in space that a linear map kills.
 
-    ``images[i]`` is the image of the i-th basis vector, so x = sum c_i b_i
-    is killed exactly when sum c_i images[i] = 0: one nullspace in the
-    coefficients, with one row per coordinate the images reach.
+    ``images[i]`` is the image of the i-th basis vector b_i, so
+    x = sum c_i b_i is killed exactly when sum c_i images[i] = 0: one
+    nullspace in the coefficients, with one row per coordinate the images
+    reach.  The basis is read off, not reduced again.  Let p_i be the
+    pivot of b_i and c_j the canonical kernel rows, with pivots k_j.  The
+    b_i are 1 at p_i and 0 at every other p_i', so x_j = sum_i c_ji b_i
+    equals c_ji at p_i: 1 at p_(k_j) and 0 at every other p_(k_j').  And
+    c_ji = 0 for i < k_j, so x_j has no entry left of p_(k_j).  The k_j
+    and so the p_(k_j) increase: the x_j are the canonical basis, with
+    pivots p_(k_j).
     """
     rows: dict[int, Row] = {}
     for i, y in enumerate(images):
@@ -199,15 +206,14 @@ def _kernel_within(space: Subspace, images: list[Row]) -> Subspace:
     if not rows:
         return space
     coeffs = nullspace(Matrix.from_row_dicts(list(rows.values()), space.dim, space.order))
-    if coeffs.dim == 0:
-        return Subspace.zero_space(space.ambient_dim, space.order)
-    vectors = []
+    basis = []
     for c in coeffs.basis:
         x: Row = {}
         for i, ci in c.items():
             _sub_scaled(x, space.basis[i], -ci)
-        vectors.append(x)
-    return Subspace.from_spanning(vectors, space.ambient_dim, space.order)
+        basis.append(dict(sorted(x.items())))
+    return Subspace(space.ambient_dim, space.order, tuple(basis),
+                    tuple(space.pivot_cols[k] for k in coeffs.pivot_cols))
 
 
 def _in_field(images: list[IntRow], scales: list[int], N: int) -> list[Row]:

@@ -282,6 +282,8 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
     """
     if dim != 3:
         raise ValueError("cluster classification is implemented for dimension 3")
+    if circuit_bound < 1:
+        raise ValueError("circuit_bound must be >= 1")
     paths = P.paths(3)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for idx, p in enumerate(paths):

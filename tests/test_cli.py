@@ -143,6 +143,8 @@ def test_negative_max_dim_exits_one(capsys, fixture_file):
     ('{"edges": [[1, 2]', "malformed JSON"),
     ("5", "JSON input must be an object"),
     ('{"edges": [[1]]}', "edge 1"),
+    ('{"simplices": [[1, 1]]}', "simplex ['1', '1'] repeats a vertex"),
+    ('{"simplices": [[1, 2], [1, "1"]]}', "simplex ['1', '1'] repeats a vertex"),
 ])
 def test_bad_json_input_exits_one(capsys, tmp_path, text, message):
     path = tmp_path / "input.json"
@@ -150,6 +152,14 @@ def test_bad_json_input_exits_one(capsys, tmp_path, text, message):
     code, _, err = run_main(capsys, ["betti", "--input", str(path), "--N", "2"])
     assert code == 1
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_circuit_bound_below_one_exits_one(capsys, fixture_file, bound):
+    code, out, err = run_main(capsys, [
+        "classify", "--input", fixture_file("braid"), "--N", "3", "--circuit-bound", bound])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "circuit-bound must be >= 1" in err
 
 
 def test_invariant_violation_exits_two_under_optimize(fixture_file):

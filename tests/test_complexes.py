@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from mayerpath.complexes import (
+    ComplexError,
     DuplicateEdge,
     EmptySimplex,
     MalformedLine,
@@ -85,6 +86,13 @@ def test_empty_simplex_rejected():
         path_complex_from_simplicial([])
     with pytest.raises(MalformedLine):
         parse_simplices("1 1 2")
+
+
+def test_simplex_with_a_repeated_vertex_rejected():
+    with pytest.raises(ComplexError, match=r"simplex \['a', 'a'\] repeats a vertex"):
+        path_complex_from_simplicial([("a", "a")])
+    with pytest.raises(ComplexError, match=r"\['1', '2', '1'\]"):
+        path_complex_from_simplicial([("1", "2"), ("1", "2", "1")])
 
 
 def test_torus_counts_against_independent_enumeration(torus):

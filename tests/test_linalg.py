@@ -224,6 +224,121 @@ def test_nullspace_matches_rref_reference_random():
         assert all(shapes.values()), (N, shapes)
 
 
+def _duplicated_rows(rng, m):
+    """m with some of its rows repeated, in shuffled order."""
+    rows = m.row_dicts()
+    rows += [dict(rng.choice(rows)) for _ in range(rng.randint(1, len(rows)))]
+    rng.shuffle(rows)
+    return Matrix.from_row_dicts(rows, m.cols, m.order)
+
+
+def test_from_spanning_equals_the_dense_reference_rref():
+    """from_spanning of a matrix's rows is the reference RREF: rows, key order and pivots.
+
+    Seeded tall, wide, all-zero and duplicate-row matrices at N = 2..6.
+    """
+    rng = random.Random(404)
+    for N in (2, 3, 4, 5, 6):
+        seen = {"tall": 0, "wide": 0, "zero": 0, "duplicate": 0, "full": 0, "deficient": 0}
+        for _ in range(16):
+            cols = rng.randint(1, 7)
+            kind = rng.choice(("tall", "wide", "zero", "duplicate"))
+            if kind == "tall":
+                m = _random_matrix(rng, N, rng.randint(cols + 1, 2 * cols + 2), cols,
+                                   rng.randint(1, cols + 1))
+            elif kind == "wide":
+                rows = rng.randint(1, cols)
+                m = _random_matrix(rng, N, rows, cols + 1, rng.randint(1, rows))
+            elif kind == "zero":
+                m = Matrix(rng.randint(1, 5), cols, N, {})
+            else:
+                m = _duplicated_rows(rng, _random_matrix(rng, N, rng.randint(1, 4), cols,
+                                                         rng.randint(1, 3)))
+            reduced, rk, pivots = _rref(m)
+            space = Subspace.from_spanning(m.row_dicts(), m.cols, N)
+            assert [list(row.items()) for row in space.basis] == \
+                [list(row.items()) for row in reduced.row_dicts()[:rk]], (N, kind)
+            assert space.pivot_cols == pivots, (N, kind)
+            seen[kind] += 1
+            seen["full" if rk == m.cols else "deficient"] += 1
+        assert all(seen.values()), (N, seen)
+
+
+def _is_canonical(space):
+    """The basis rows are sparse RREF rows: ascending keys, leading 1, clear pivot columns."""
+    pivots = space.pivot_cols
+    one = Scalar.one(space.order)
+    if len(pivots) != space.dim or any(a >= b for a, b in zip(pivots, pivots[1:])):
+        return False
+    for row, p in zip(space.basis, pivots):
+        keys = list(row)
+        if keys != sorted(keys) or keys[0] != p or row[p] != one or not all(row.values()):
+            return False
+        if set(pivots).intersection(keys[1:]) or keys[-1] >= space.ambient_dim:
+            return False
+    return True
+
+
+def test_intersect_is_canonical_and_equals_the_span_of_its_basis():
+    """On seeded pairs, some sharing vectors, intersect returns the canonical sparse basis."""
+    rng = random.Random(77)
+    seen = {"zero": 0, "proper": 0, "equal": 0}
+    for N in (2, 3, 4, 5):
+        for _ in range(15):
+            ambient = rng.randint(2, 6)
+            shared = _random_vectors(rng, N, ambient, rng.randint(0, 2))
+            a, b = (Subspace.from_spanning(
+                map(sparse, shared + _random_vectors(rng, N, ambient, rng.randint(0, 3))),
+                ambient, N) for _ in range(2))
+            meet = intersect(a, b)
+            assert _is_canonical(meet), (N, meet.basis)
+            again = Subspace.from_spanning(meet.basis, ambient, N)
+            assert [list(row.items()) for row in meet.basis] == \
+                [list(row.items()) for row in again.basis]
+            assert meet.pivot_cols == again.pivot_cols
+            assert all(a.contains(row) and b.contains(row) for row in meet.basis)
+            if meet.dim == 0:
+                seen["zero"] += 1
+            else:
+                seen["equal" if meet == a == b else "proper"] += 1
+    assert all(seen.values()), seen
+
+
+def test_eliminations_leave_their_inputs_unchanged():
+    """from_spanning, intersect and nullspace only read their arguments."""
+    rng = random.Random(13)
+    for N in (2, 3, 5):
+        for _ in range(10):
+            ambient = rng.randint(2, 6)
+            vectors = [sparse(v) for v in _random_vectors(rng, N, ambient, rng.randint(1, 4))]
+            snapshot = [list(v.items()) for v in vectors]
+            a = Subspace.from_spanning(vectors, ambient, N)
+            assert [list(v.items()) for v in vectors] == snapshot
+            b = Subspace.from_spanning(map(sparse, _random_vectors(rng, N, ambient, 3)),
+                                       ambient, N)
+            before = [([list(row.items()) for row in s.basis], s.pivot_cols, hash(s))
+                      for s in (a, b)]
+            intersect(a, b)
+            intersect(b, a)
+            assert [([list(row.items()) for row in s.basis], s.pivot_cols, hash(s))
+                    for s in (a, b)] == before
+            m = _random_matrix(rng, N, rng.randint(1, 6), ambient, rng.randint(1, 3))
+            entries = dict(m.entries)
+            nullspace(m)
+            assert m.entries == entries
+
+
+def test_hash_agrees_with_equality_under_key_order():
+    """Two subspaces whose rows differ only in key order are equal and hash alike."""
+    N = 3
+    one, xi = Scalar.one(N), zeta_power(N, 1)
+    s = Subspace(4, N, ({0: one, 1: xi, 3: one}, {2: one, 3: xi}), (0, 2))
+    t = Subspace(4, N, ({3: one, 0: one, 1: xi}, {3: xi, 2: one}), (0, 2))
+    assert s == t
+    assert hash(s) == hash(t)
+    assert len({s, t}) == 1
+
+
 def _trial_division_prime(n):
     return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 

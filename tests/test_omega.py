@@ -8,6 +8,7 @@ from mayerpath.boundary import boundary_power_matrix, verify_nilpotency
 from mayerpath.complexes import Digraph, PathComplex, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.fixtures import ALL_FIXTURES, DIGRAPH_FIXTURES, load_digraph, load_fixture
+from mayerpath.homology import cycle_space
 from mayerpath.linalg import InvariantViolation, Matrix, Subspace, nullspace
 from mayerpath.omega import (OmegaSpace, _images, _integer_basis, _level, omega_full,
                              omega_nilpotency, omega_nq, verify_chain_closure)
@@ -380,6 +381,35 @@ def test_omega_bases_are_in_canonical_sparse_form():
                         seen["rows"] += 1
                         seen["rows with several entries"] += len(row) > 1
                         seen["zeta entries"] += any(any(v.coeffs[1:]) for v in row.values())
+    assert all(seen.values()), seen
+
+
+def test_read_off_bases_equal_the_span_of_their_rows():
+    """Every Omega level and every cycle space basis is what from_spanning makes of its rows.
+
+    The level-j and cycle space bases are read off a kernel, not reduced
+    again; on the 11 fixtures and 20 seeded digraphs with an antiparallel
+    pair, N = 2..5, n <= 3, they equal the RREF of their own rows entry
+    for entry, key order and pivot columns included.
+    """
+    from conftest import antiparallel_complexes
+
+    complexes = [load_fixture(name) for name in ALL_FIXTURES]
+    assert len(complexes) == 11
+    complexes += [P for _, P in antiparallel_complexes(random.Random(7), 20, 3, 200)]
+    seen = {"levels": 0, "cycle spaces": 0, "proper subspaces": 0}
+    for P in complexes:
+        for N in range(2, 6):
+            for n in range(4):
+                spaces = [("levels", _level(P, n, j, N)) for j in range(1, N)]
+                spaces += [("cycle spaces", cycle_space(P, n, q, N)) for q in range(1, N)]
+                for kind, space in spaces:
+                    again = Subspace.from_spanning(space.basis, space.ambient_dim, N)
+                    assert [list(row.items()) for row in space.basis] == \
+                        [list(row.items()) for row in again.basis], (kind, n, N)
+                    assert space.pivot_cols == again.pivot_cols, (kind, n, N)
+                    seen[kind] += 1
+                    seen["proper subspaces"] += 0 < space.dim < space.ambient_dim
     assert all(seen.values()), seen
 
 

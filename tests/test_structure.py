@@ -183,6 +183,14 @@ def test_circuit_bound_reported():
     assert search.truncated == [interned(braid, "1", "4")]
 
 
+def test_circuit_bound_below_one_refused():
+    braid = load_fixture("braid")
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="circuit_bound must be >= 1"):
+            minimal_clusters(braid, 3, circuit_bound=bound)
+    assert minimal_clusters(braid, 3, circuit_bound=1).truncated == [interned(braid, "1", "4")]
+
+
 def test_combined_chain_and_isolated_component_survive_together():
     # a three-route chain and a triangle-capped route between the same
     # endpoints each fail the level-2 constraint alone (their squared
