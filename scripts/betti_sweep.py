@@ -6,15 +6,19 @@ antiparallel pairs allowed in every odd case, at N = 2 + (i // 2) % 4,
 and redraws until the paths of the dimensions the table reads
 (0 .. max_dim + N - 1) number at most BUDGET.  Each line holds the
 case, then the sha256 of the table's JSON, or ``refused`` where
-``betti_table`` raises ``NotASubspace``, then the sha256 of the JSON
-stdout of three subcommands on the same digraph: ``omega=`` of
+``betti_table`` raises ``NotASubspace``, then ``oracle=``, the same for
+the table of the dense ``brute_force_oracle`` (``refused`` where it
+raises ``ImageEscapesAllowed``) on cases with at most ORACLE_BUDGET
+paths in those dimensions and ``-`` on the others, then the sha256 of
+the JSON stdout of three subcommands on the same digraph: ``omega=`` of
 ``omega --show-basis --max-dim 3``, so the Omega bases are compared
 too, ``classify=`` of ``classify`` and ``cycles=`` of ``cycles``, so the
 classification and the degree-1 generators are.  Each command runs in
 process through ``mayerpath.cli.main`` on the digraph written to a
 temporary JSON digraph file, which keeps isolated vertices; a nonzero
 exit code is printed in place of the digest.  The library is imported
-from the checkout's ``src/``, so two checkouts compare with ``diff``:
+from the checkout's ``src/``, so two checkouts compare with ``diff``,
+the engine and the oracle alike:
 
     python3 scripts/betti_sweep.py > after.txt
     python3 scripts/betti_sweep.py --root ../parent > before.txt
@@ -38,6 +42,12 @@ from pathlib import Path
 MAX_DIM = 3
 COUNT = 340
 BUDGET = 4000
+ORACLE_BUDGET = 300
+
+
+def path_count(P, N: int) -> int:
+    """Paths in the dimensions a table reads, 0 .. MAX_DIM + N - 1."""
+    return sum(len(P.paths(d)) for d in range(MAX_DIM + N))
 
 
 def case(i: int, Digraph, path_complex_from_digraph):
@@ -57,12 +67,20 @@ def case(i: int, Digraph, path_complex_from_digraph):
                     present.add((u, v))
         g = Digraph(tuple(str(k + 1) for k in range(n)), tuple(edges))
         P = path_complex_from_digraph(g, MAX_DIM)
-        if sum(len(P.paths(d)) for d in range(MAX_DIM + N)) <= BUDGET:
+        if path_count(P, N) <= BUDGET:
             return g, N
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def table_digest(engine, P, N: int, refusal) -> str:
+    """sha256 of the JSON of ``engine(P, N, MAX_DIM)``, or ``refused`` where it raises refusal."""
+    try:
+        return sha256(json.dumps(engine(P, N, MAX_DIM).to_json_dict(), sort_keys=True))
+    except refusal:
+        return "refused"
 
 
 def cli_digest(cli_main, argv: list[str]) -> str:
@@ -84,32 +102,34 @@ def main() -> int:
     import mayerpath
     from mayerpath.cli import main as cli_main
     from mayerpath.complexes import Digraph, path_complex_from_digraph
-    from mayerpath.homology import betti_table
+    from mayerpath.homology import ImageEscapesAllowed, betti_table, brute_force_oracle
     from mayerpath.linalg import NotASubspace
 
     if Path(mayerpath.__file__).resolve().parent != src / "mayerpath":
         raise SystemExit(f"error: imported mayerpath from {mayerpath.__file__}")
-    refused = 0
+    refused = oracle_cases = oracle_refused = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.json"
         for i in range(COUNT):
             g, N = case(i, Digraph, path_complex_from_digraph)
-            try:
-                table = betti_table(path_complex_from_digraph(g, MAX_DIM), N, MAX_DIM)
-                result = sha256(json.dumps(table.to_json_dict(), sort_keys=True))
-            except NotASubspace:
-                result = "refused"
-                refused += 1
+            P = path_complex_from_digraph(g, MAX_DIM)
+            result = table_digest(betti_table, P, N, NotASubspace)
+            refused += result == "refused"
+            oracle = "-"
+            if path_count(P, N) <= ORACLE_BUDGET:
+                oracle = table_digest(brute_force_oracle, P, N, ImageEscapesAllowed)
+                oracle_cases += 1
+                oracle_refused += oracle == "refused"
             path.write_text(json.dumps(g.to_json()), encoding="utf-8")
             common = ["--input", str(path), "--N", str(N)]
             digests = " ".join(
                 f"{name}={cli_digest(cli_main, [name, *common, *extra])}"
                 for name, extra in (("omega", ["--show-basis", "--max-dim", str(MAX_DIM)]),
                                     ("classify", []), ("cycles", [])))
-            print(f"{i} vertices={g.n} edges={len(g.edges)} N={N} {result} {digests}",
-                  flush=True)
-    print(f"{COUNT} cases; {COUNT - refused} tables, {refused} refused",
-          file=sys.stderr)
+            print(f"{i} vertices={g.n} edges={len(g.edges)} N={N} {result} "
+                  f"oracle={oracle} {digests}", flush=True)
+    print(f"{COUNT} cases; {COUNT - refused} tables, {refused} refused; oracle on "
+          f"{oracle_cases} cases, {oracle_refused} refused", file=sys.stderr)
     return 0
 
 

@@ -15,6 +15,7 @@ from .complexes import (
     parse_simplices,
     path_complex_from_digraph,
     path_complex_from_simplicial,
+    simplices_from_json,
 )
 from .cycles import orientation_profile, z1_generators
 from .homology import ImageEscapesAllowed, betti_table, poincare_identity_check
@@ -62,11 +63,7 @@ def _load_input(path: str, kind: str, max_dim: int) -> tuple[PathComplex, Digrap
                 g = digraph_from_json(data)
                 return path_complex_from_digraph(g, max_dim), g
             if "simplices" in data:
-                simplices = data["simplices"]
-                if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
-                    raise InputError("'simplices' must be a JSON list of vertex lists")
-                return path_complex_from_simplicial(
-                    [tuple(str(v) for v in s) for s in simplices]), None
+                return path_complex_from_simplicial(simplices_from_json(data["simplices"])), None
             raise InputError("JSON input needs an 'edges' or 'simplices' key")
         if kind == "digraph":
             g = parse_digraph(text)
@@ -78,8 +75,11 @@ def _load_input(path: str, kind: str, max_dim: int) -> tuple[PathComplex, Digrap
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 

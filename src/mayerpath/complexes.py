@@ -118,6 +118,14 @@ def parse_digraph(text: str) -> Digraph:
     return Digraph(tuple(labels), tuple(edges))
 
 
+def _json_label(value, where: str) -> str:
+    """A vertex label read from JSON: a string or an integer (not a bool), as text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ComplexError(
+            f"{where}: vertex label {json.dumps(value)} is not a JSON string or integer")
+    return str(value)
+
+
 def digraph_from_json(data: dict) -> Digraph:
     """Digraph from ``{"vertices": [...], "edges": [[u, v], ...]}``."""
     vertices, edge_list = data.get("vertices", []), data["edges"]
@@ -126,29 +134,36 @@ def digraph_from_json(data: dict) -> Digraph:
     labels: list[str] = []
     index: dict[str, int] = {}
 
-    def intern(label) -> int:
-        key = str(label)
-        if key not in index:
-            index[key] = len(labels)
-            labels.append(key)
-        return index[key]
+    def intern(label: str) -> int:
+        if label not in index:
+            index[label] = len(labels)
+            labels.append(label)
+        return index[label]
 
-    for v in vertices:
-        intern(v)
+    for i, v in enumerate(vertices, start=1):
+        intern(_json_label(v, f"vertex {i}"))
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for i, pair in enumerate(edge_list, start=1):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ComplexError(f"edge {i}: expected a [source, target] pair, got {pair!r}")
-        u, v = pair
-        if str(u) == str(v):
-            raise SelfLoop(i, str(u))
+        u, v = (_json_label(x, f"edge {i}") for x in pair)
+        if u == v:
+            raise SelfLoop(i, u)
         e = (intern(u), intern(v))
         if e in seen:
-            raise DuplicateEdge(i, str(u), str(v))
+            raise DuplicateEdge(i, u, v)
         seen.add(e)
         edges.append(e)
     return Digraph(tuple(labels), tuple(edges))
+
+
+def simplices_from_json(simplices) -> list[tuple[str, ...]]:
+    """Maximal simplices from the ``"simplices"`` value of a JSON input."""
+    if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
+        raise ComplexError("'simplices' must be a JSON list of vertex lists")
+    return [tuple(_json_label(v, f"simplex {i}") for v in s)
+            for i, s in enumerate(simplices, start=1)]
 
 
 def _label_sort_key(label: str):

@@ -31,9 +31,10 @@ Betti number is a certified rank, with no elimination over Q(zeta_N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .complexes import PathComplex
-from .cyclotomic import Scalar, zeta_power
+from .cyclotomic import Scalar, cyclotomic_polynomial, zeta_power
 from .linalg import NotASubspace, Row, Subspace
 from .omega import (_image_rank, _images, _in_field, _integer_basis, _kernel_within,
                     _nth_power_record, omega_full)
@@ -226,42 +227,103 @@ def poincare_identity_check(P: PathComplex, N: int, q: int,
 # arithmetic and the path enumeration with the main engine: boundary
 # images are re-derived inline, and all linear algebra is dense list-of-
 # lists elimination with a bottom-up pivot rule and no subspace classes.
-# Each table of unit-chain images d^power p is built once per call and
-# shared by the Omega levels, the cycle kernels and the boundary images;
-# containment of boundaries in cycles is one elimination per (n, q) cell.
+# The images d^q of the unit n-chains are kept as chains, one table per
+# (n, q) and local to the call; table (n, q) is d^1 applied once more to
+# table (n, q-1), and the tables are shared by the Omega levels, the
+# cycle kernels and the boundary images.  Containment of boundaries in
+# cycles is one elimination per (n, q) cell.  Products with a unit
+# +-zeta^k are rotations: each coefficient moves up k places and the
+# places at or above phi(N) are reduced modulo Phi_N.  So the face
+# weights zeta^j of d^1 and the normalisation of a unit pivot, by
+# +-zeta^(N-k), need neither a general product nor an inverse.
 
 
-def _oracle_boundary_vectors(paths, target_index, power, N):
-    """Dense images of unit chains under the regular boundary power."""
-    vectors = []
-    for p in paths:
-        chain = {p: Scalar.one(N)}
-        for _ in range(power):
-            nxt: dict = {}
-            for pp, c in chain.items():
-                if len(pp) <= 1:
-                    continue
-                for j in range(len(pp)):
-                    f = pp[:j] + pp[j + 1:]
-                    if any(f[i] == f[i + 1] for i in range(len(f) - 1)):
-                        continue
-                    add = c * zeta_power(N, j)
-                    cur = nxt.get(f)
-                    val = add if cur is None else cur + add
-                    if val:
-                        nxt[f] = val
-                    else:
-                        nxt.pop(f, None)
-            chain = nxt
-        vec = [Scalar.zero(N)] * len(target_index)
-        extra = {}
-        for f, c in chain.items():
-            if f in target_index:
-                vec[target_index[f]] = c
+@lru_cache(maxsize=None)
+def _oracle_reduced_powers(N: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_N as (place, integer) terms, for k = 0 .. N + phi(N) - 2."""
+    mod = cyclotomic_polynomial(N)
+    phi = len(mod) - 1
+    rows = [[int(i == k) for i in range(phi)] for k in range(phi)]
+    for _ in range(N - 1):
+        # x * x^k: shift up one place, then x^phi = x^phi - Phi_N.
+        carry, row = rows[-1][-1], [0] + rows[-1][:-1]
+        rows.append([r - carry * m for r, m in zip(row, mod)])
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
+
+
+def _oracle_rotate(c: Scalar, j: int, sign: int = 1) -> Scalar:
+    """sign * c * zeta^j as a coefficient shift reduced modulo Phi_N."""
+    N = c.order
+    j %= N
+    if not j and sign == 1:
+        return c
+    powers = _oracle_reduced_powers(N)
+    out = list(Scalar.zero(N).coeffs)
+    for i, a in enumerate(c.coeffs):
+        if not a:
+            continue
+        if sign < 0:
+            a = -a
+        for t, m in powers[i + j]:
+            if m == 1:
+                out[t] += a
+            elif m == -1:
+                out[t] -= a
+            else:               # Phi_N has a coefficient beyond +-1 first at N = 105
+                out[t] += m * a
+    return Scalar(N, tuple(out))
+
+
+@lru_cache(maxsize=None)
+def _oracle_units(N: int) -> dict[tuple, tuple[int, int]]:
+    """Coefficients of each unit sign * zeta^k -> (k, sign); sign 1 where both exist."""
+    one = Scalar.one(N)
+    return {_oracle_rotate(one, k, sign).coeffs: (k, sign)
+            for sign in (-1, 1) for k in range(N)}
+
+
+def _oracle_unit(c: Scalar) -> tuple[int, int] | None:
+    """(k, sign) with c = sign * zeta^k, or None when c is no such unit."""
+    return _oracle_units(c.order).get(c.coeffs)
+
+
+def _oracle_d1(chain: dict) -> dict:
+    """d^1 of a chain {regular path: Scalar}; face j weighs zeta^j, irregular faces drop."""
+    out: dict = {}
+    for pp, c in chain.items():
+        last = len(pp) - 1
+        if not last:
+            continue
+        for j in range(last + 1):
+            # pp is regular, so only the two neighbours of vertex j can meet.
+            if 0 < j < last and pp[j - 1] == pp[j + 1]:
+                continue
+            f = pp[:j] + pp[j + 1:]
+            add = _oracle_rotate(c, j)
+            cur = out.get(f)
+            val = add if cur is None else cur + add
+            if val:
+                out[f] = val
             else:
-                extra[f] = c
-        vectors.append((vec, extra))
-    return vectors
+                out.pop(f, None)
+    return out
+
+
+def _oracle_image_chains(tables: dict, P: PathComplex, n: int, power: int,
+                         N: int) -> list[dict]:
+    """d^power of every unit n-chain, as chains; table (n, power) memoised in ``tables``.
+
+    Table (n, 0) holds the unit chains, and table (n, power) is d^1
+    applied to each chain of table (n, power - 1).
+    """
+    key = (n, power)
+    if key not in tables:
+        if power == 0:
+            tables[key] = [{p: Scalar.one(N)} for p in P.paths(n)]
+        else:
+            below = _oracle_image_chains(tables, P, n, power - 1, N)
+            tables[key] = [_oracle_d1(chain) for chain in below]
+    return tables[key]
 
 
 def _dense_eliminate(rows: list[list[Scalar]]) -> list[list[Scalar]]:
@@ -280,8 +342,13 @@ def _dense_eliminate(rows: list[list[Scalar]]) -> list[list[Scalar]]:
                 break
         if pr is None:
             continue
-        inv = rows[pr][c].inverse()
-        rows[pr] = [v * inv if v else v for v in rows[pr]]
+        unit = _oracle_unit(rows[pr][c])
+        if unit is None:
+            inv = rows[pr][c].inverse()
+            rows[pr] = [v * inv if v else v for v in rows[pr]]
+        elif unit != (0, 1):
+            k, sign = unit
+            rows[pr] = [_oracle_rotate(v, -k, sign) if v else v for v in rows[pr]]
         for i in range(len(rows)):
             if i != pr and rows[i][c]:
                 f = rows[i][c]
@@ -337,48 +404,42 @@ def _dense_intersect(a: list[list[Scalar]], b: list[list[Scalar]], cols: int, N:
 def brute_force_oracle(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
     """Recompute the full Betti table with the dense engine."""
     omega_cache: dict[int, list[list[Scalar]]] = {}
-    image_tables: dict[tuple[int, int], tuple[dict, list]] = {}
+    tables: dict[tuple[int, int], list[dict]] = {}
+    zero, one = Scalar.zero(N), Scalar.one(N)
 
-    def unit_images(n: int, power: int) -> tuple[dict, list]:
-        """(index of the (n-power)-paths, d^power of every unit n-chain), built once."""
-        key = (n, power)
-        if key not in image_tables:
-            target = {p: i for i, p in enumerate(P.paths(n - power))} if n - power >= 0 else {}
-            image_tables[key] = target, _oracle_boundary_vectors(P.paths(n), target, power, N)
-        return image_tables[key]
+    def identity(cols: int) -> list[list[Scalar]]:
+        return [[one if i == j else zero for j in range(cols)] for i in range(cols)]
 
     def omega_dense(n: int) -> list[list[Scalar]]:
         if n in omega_cache:
             return omega_cache[n]
         cols = len(P.paths(n))
-        one, zero = Scalar.one(N), Scalar.zero(N)
-        space = [[one if i == j else zero for j in range(cols)] for i in range(cols)]
+        space = None        # no level yet; the RREF at the end makes the basis canonical
         for q in range(1, min(N - 1, n - 1) + 1):
-            _, vecs = unit_images(n, q)
-            extra_paths = sorted({f for _, extra in vecs for f in extra})
+            chains = _oracle_image_chains(tables, P, n, q, N)
+            allowed = P.allowed_set(n - q)
+            extra_paths = sorted({f for chain in chains for f in chain if f not in allowed})
             if extra_paths:
-                constraint_rows = []
-                for f in extra_paths:
-                    constraint_rows.append([extra.get(f, zero) for _, extra in vecs])
+                constraint_rows = [[chain.get(f, zero) for chain in chains] for f in extra_paths]
                 level = _dense_nullspace(constraint_rows, cols, N)
-                space = _dense_intersect(space, level, cols, N)
-        space = _dense_eliminate(space)
+                space = level if space is None else _dense_intersect(space, level, cols, N)
+        space = identity(cols) if space is None else _dense_eliminate(space)
         omega_cache[n] = space
         return space
 
-    def apply_dense_power(vec: list[Scalar], n: int, power: int):
-        target, images = unit_images(n, power)
-        out = [Scalar.zero(N)] * len(target)
+    def apply_dense_power(vec: list[Scalar], chains: list[dict], target: dict):
+        """The image of vec under the chains of a table: dense over target, and escaped."""
+        out = [zero] * len(target)
         escaped: dict = {}
-        for w, (img, extra) in zip(vec, images):
+        for w, chain in zip(vec, chains):
             if not w:
                 continue
-            for i, b in enumerate(img):
-                if b:
+            for f, b in chain.items():
+                i = target.get(f)
+                if i is not None:
                     out[i] = out[i] + w * b
-            for f, c in extra.items():
-                cur = escaped.get(f, Scalar.zero(N))
-                val = cur + w * c
+                    continue
+                val = escaped.get(f, zero) + w * b
                 if val:
                     escaped[f] = val
                 else:
@@ -394,26 +455,19 @@ def brute_force_oracle(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
             if n - q < 0:
                 z_space = omega_n
             else:
-                target, vecs = unit_images(n, q)
-                all_rows_paths = list(P.paths(n - q)) + sorted(
-                    {f for _, extra in vecs for f in extra}
-                )
-                full_rows = []
-                for f in all_rows_paths:
-                    fi = target.get(f)
-                    row = []
-                    for img, extra in vecs:
-                        row.append(img[fi] if fi is not None else extra.get(f, Scalar.zero(N)))
-                    full_rows.append(row)
-                kernel = _dense_nullspace(full_rows, cols, N) if full_rows else \
-                    [[Scalar.one(N) if i == j else Scalar.zero(N) for j in range(cols)]
-                     for i in range(cols)]
+                chains = _oracle_image_chains(tables, P, n, q, N)
+                row_paths = list(P.paths(n - q)) + sorted(
+                    {f for chain in chains for f in chain} - P.allowed_set(n - q))
+                full_rows = [[chain.get(f, zero) for chain in chains] for f in row_paths]
+                kernel = _dense_nullspace(full_rows, cols, N) if full_rows else identity(cols)
                 z_space = _dense_intersect(omega_n, kernel, cols, N)
             # boundaries
             m = n + N - q
+            chains = _oracle_image_chains(tables, P, m, N - q, N)
+            target = {p: i for i, p in enumerate(P.paths(n))}
             b_vectors = []
             for vec in omega_dense(m):
-                img, escaped = apply_dense_power(vec, m, N - q)
+                img, escaped = apply_dense_power(vec, chains, target)
                 if escaped:
                     raise ImageEscapesAllowed(
                         "oracle: boundary image left the allowed span"

@@ -145,6 +145,14 @@ def test_negative_max_dim_exits_one(capsys, fixture_file):
     ('{"edges": [[1]]}', "edge 1"),
     ('{"simplices": [[1, 1]]}', "simplex ['1', '1'] repeats a vertex"),
     ('{"simplices": [[1, 2], [1, "1"]]}', "simplex ['1', '1'] repeats a vertex"),
+    ('{"edges": [[1, [2]]]}', "edge 1: vertex label [2] is not"),
+    ('{"edges": [[1, 2], [2, {"x": 1}]]}', 'edge 2: vertex label {"x": 1} is not'),
+    ('{"edges": [[true, 2]]}', "edge 1: vertex label true is not"),
+    ('{"vertices": [1, null], "edges": []}', "vertex 2: vertex label null is not"),
+    ('{"edges": [[1, 2.5]]}', "edge 1: vertex label 2.5 is not"),
+    ('{"simplices": [[1, 2], [2, {"x": 1}]]}', 'simplex 2: vertex label {"x": 1} is not'),
+    ('{"simplices": [[false, 2]]}', "simplex 1: vertex label false is not"),
+    ('{"simplices": [[1, 2], [[3], 4]]}', "simplex 2: vertex label [3] is not"),
 ])
 def test_bad_json_input_exits_one(capsys, tmp_path, text, message):
     path = tmp_path / "input.json"
@@ -152,6 +160,20 @@ def test_bad_json_input_exits_one(capsys, tmp_path, text, message):
     code, _, err = run_main(capsys, ["betti", "--input", str(path), "--N", "2"])
     assert code == 1
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("command", ["betti", "report"])
+def test_unwritable_out_exits_one_without_traceback(fixture_file, tmp_path, command):
+    target = tmp_path / "missing" / "x.md"
+    argv = [sys.executable, "-m", "mayerpath.cli", command, "--out", str(target)]
+    if command == "betti":
+        argv += ["--input", fixture_file("diamond"), "--N", "3"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=library_env())
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {target}:")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])

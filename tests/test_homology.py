@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,9 @@ from mayerpath import linalg
 from mayerpath.homology import (
     ImageEscapesAllowed,
     _dense_eliminate,
+    _oracle_image_chains,
+    _oracle_rotate,
+    _oracle_unit,
     betti,
     betti_table,
     boundary_space,
@@ -281,6 +285,71 @@ def test_oracle_refuses_exactly_where_a_boundary_vector_escapes():
             assert oracle == betti_table(P, N, 1), (P.digest(), N)
             outcomes["table"] += 1
     assert outcomes["refused"] and outcomes["table"], outcomes
+
+
+def _random_scalar(rng, N):
+    """A Q(zeta_N) element with small random rational coefficients, some of them zero."""
+    phi = len(Scalar.zero(N).coeffs)
+    return Scalar(N, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7
+                           else Fraction(0) for _ in range(phi)))
+
+
+def test_oracle_rotation_equals_the_product_with_the_unit():
+    rng = random.Random(5)
+    for N in range(2, 8):
+        for _ in range(12):
+            c = _random_scalar(rng, N)
+            for j in range(-N, 2 * N):
+                for sign in (1, -1):
+                    assert _oracle_rotate(c, j, sign) == sign * c * zeta_power(N, j), (N, c, j)
+    # Phi_105 is the first cyclotomic polynomial with a coefficient beyond +-1 (-2)
+    c = _random_scalar(rng, 105)
+    for j in (1, 47, 48, 60, 104):
+        assert _oracle_rotate(c, j, -1) == -c * zeta_power(105, j), j
+
+
+def test_oracle_unit_detection_is_exact_on_the_units():
+    rng = random.Random(6)
+    for N in range(2, 8):
+        units = {sign * zeta_power(N, k) for k in range(N) for sign in (1, -1)}
+        for u in units:
+            k, sign = _oracle_unit(u)
+            assert 0 <= k < N and sign in (1, -1) and sign * zeta_power(N, k) == u
+        # |zeta^i + zeta^j| = 1 exactly when i - j = +-N/3, as in 1 + zeta_3 = -zeta_3^2
+        others = [zeta_power(N, i) + zeta_power(N, j) for i in range(N) for j in range(N)]
+        assert any(c in units for c in others) == (N % 3 == 0)
+        others += [Scalar.zero(N), 2 * Scalar.one(N), Fraction(1, 2) * zeta_power(N, 1)]
+        others += [_random_scalar(rng, N) for _ in range(40)]
+        for c in others:
+            assert (_oracle_unit(c) is not None) == (c in units), (N, c)
+
+
+def _unit_chain_power(p, power, N):
+    """d^power of the unit chain on p, one regular face at a time with zeta^j products."""
+    chain = {p: Scalar.one(N)}
+    for _ in range(power):
+        image = {}
+        for path, c in chain.items():
+            for j in range(len(path) if len(path) > 1 else 0):
+                f = path[:j] + path[j + 1:]
+                if all(f[i] != f[i + 1] for i in range(len(f) - 1)):
+                    image[f] = image.get(f, Scalar.zero(N)) + c * zeta_power(N, j)
+        chain = {f: c for f, c in image.items() if c}
+    return chain
+
+
+def test_oracle_image_tables_equal_the_powers_of_the_unit_chains():
+    """Table (n, q), built as d^1 of table (n, q-1), equals d^q applied to each unit chain."""
+    from conftest import antiparallel_complexes
+
+    for _, P in antiparallel_complexes(random.Random(7), 8, 3, 120):
+        for N in (2, 3, 4, 5):
+            tables = {}
+            for n in range(4):
+                for q in range(N):
+                    chains = _oracle_image_chains(tables, P, n, q, N)
+                    assert chains == [_unit_chain_power(p, q, N) for p in P.paths(n)], (n, q, N)
+            assert set(tables) == {(n, q) for n in range(4) for q in range(N)}
 
 
 def test_double_edge_homology_is_rejected_beyond_order_two():
