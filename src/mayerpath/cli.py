@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -303,7 +304,16 @@ def cmd_report(args) -> int:
     return EXIT_INVARIANT if report.tier_a_failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mayerpath`` argument parser, built on first use and shared.
+
+    Every call in a process returns the same parser, so callers that run
+    ``main`` many times pay for the build once.  Treat it as read-only:
+    ``parse_args`` returns a fresh namespace and usage errors raise before
+    anything is stored, so sharing it carries no state between calls,
+    but a change made to it would reach every later call.
+    """
     parser = _Parser(
         prog="mayerpath",
         description="Exact root-of-unity path homology of digraphs and path complexes",

@@ -31,10 +31,11 @@ Betti number is a certified rank, with no elimination over Q(zeta_N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .complexes import PathComplex
-from .cyclotomic import Scalar, cyclotomic_polynomial, zeta_power
+from .cyclotomic import Scalar, cyclotomic_polynomial, euler_phi, integer_powers, zeta_power
 from .linalg import NotASubspace, Row, Subspace
 from .omega import (_image_rank, _images, _in_field, _integer_basis, _kernel_within,
                     _nth_power_record, omega_full)
@@ -186,6 +187,11 @@ def poincare_identity_check(P: PathComplex, N: int, q: int,
     spaces vanish for N+1 consecutive dimensions (enough slack for every
     boundary space the truncated sums touch).  Otherwise the report is
     flagged unbounded and no values are produced.
+
+    Both sums have integer weights, so each is added up as phi(N) ints
+    over ``cyclotomic.integer_powers`` and becomes one ``Scalar``; the
+    right side is then one product with (1 - zeta^q)^-1, which is
+    inverted once per (N, q) and process.
     """
     top = None
     zero_run = 0
@@ -203,22 +209,28 @@ def poincare_identity_check(P: PathComplex, N: int, q: int,
     if top is None:
         return PoincareReport(N, q, False, -1, None, None)
 
-    dims = {n: omega_full(P, n, N).space.dim for n in range(top + 1)}
-    lhs = Scalar.zero(N)
-    for n, d in dims.items():
-        if d:
-            lhs = lhs + zeta_power(N, n) * Scalar.from_rational(N, d)
+    lhs = _integer_sum(N, [omega_full(P, n, N).space.dim for n in range(top + 1)])
+    total = _integer_sum(N, [
+        (betti(P, i, q, N) if i <= top else 0)
+        - (betti(P, i - q, N - q, N) if 0 <= i - q <= top else 0)
+        for i in range(top + q + 1)])
+    return PoincareReport(N, q, True, top, lhs, total * _geometric_factor(N, q))
 
-    total = Scalar.zero(N)
-    for i in range(top + q + 1):
-        b_main = betti(P, i, q, N) if i <= top else 0
-        b_shift = betti(P, i - q, N - q, N) if 0 <= i - q <= top else 0
-        diff = b_main - b_shift
-        if diff:
-            total = total + zeta_power(N, i) * Scalar.from_rational(N, diff)
-    denom = Scalar.one(N) - zeta_power(N, q)
-    rhs = total * denom.inverse()
-    return PoincareReport(N, q, True, top, lhs, rhs)
+
+def _integer_sum(N: int, weights: list[int]) -> Scalar:
+    """sum_n weights[n] * zeta^n, added up in Z[zeta_N] as phi(N) ints."""
+    powers = integer_powers(N)
+    acc = [0] * euler_phi(N)
+    for n, w in enumerate(weights):
+        for i, c in enumerate(powers[n % N]):
+            acc[i] += w * c
+    return Scalar(N, tuple(Fraction(c) for c in acc))
+
+
+@lru_cache(maxsize=None)
+def _geometric_factor(N: int, q: int) -> Scalar:
+    """(1 - zeta^q)^-1 in Q(zeta_N), for 1 <= q <= N-1."""
+    return (Scalar.one(N) - zeta_power(N, q)).inverse()
 
 
 # -- independent dense oracle ---------------------------------------------

@@ -66,10 +66,19 @@ def face_type(P: PathComplex, f: Path, shortcut: tuple[int, int] | None = None) 
         return FaceType.NW
     if P.has_edge(*shortcut):
         return FaceType.T
-    for alt in P.paths(2):
-        if alt[0] == a and alt[2] == c and alt[1] != mid:
-            return FaceType.S
+    if any(alt != mid for alt in _middles(P).get((a, c), ())):
+        return FaceType.S
     return FaceType.W
+
+
+def _middles(P: PathComplex) -> dict[tuple[int, int], list[int]]:
+    """The middles of the allowed 2-paths, by endpoint pair; memoised on P."""
+    index = P._memo.get(("middles",))
+    if index is None:
+        index = P._memo[("middles",)] = {}
+        for a, mid, c in P.paths(2):
+            index.setdefault((a, c), []).append(mid)
+    return index
 
 
 def image_type(P: PathComplex, v: Path) -> tuple[FaceType, FaceType, FaceType, FaceType]:

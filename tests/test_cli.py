@@ -328,3 +328,39 @@ def test_console_script_determinism_subprocess(fixture_file):
     second = subprocess.run(argv, capture_output=True, text=True, env=library_env())
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_main_in_one_process_matches_fresh_interpreters(capsys, fixture_file, tmp_path):
+    # main builds its parser once per process; no call may leave state
+    # behind that changes a later call's output or exit code
+    from mayerpath.cli import build_parser
+
+    assert build_parser() is build_parser()
+    diamond, braid = fixture_file("diamond"), fixture_file("braid")
+    out = "<out>"
+    calls = [
+        (["betti", "--input", diamond, "--N", "3", "--format", "json"], 0),
+        (["betti", "--input", diamond, "--N", "abc"], 1),
+        (["omega", "--input", braid, "--N", "4", "--q", "3", "--show-basis"], 0),
+        (["betti", "--N", "3"], 1),
+        (["classify", "--input", braid, "--N", "3", "--format", "json"], 0),
+        (["check", "--input", str(ANTIPARALLEL_PAIR), "--N", "3"], 2),
+        (["cycles", "--input", fixture_file("theta"), "--N", "5"], 0),
+        (["check", "--input", fixture_file("torus_minimal"), "--kind", "simplicial",
+          "--N", "4", "--format", "json"], 0),
+        (["betti", "--input", braid, "--N", "5", "--q", "2", "--format", "csv",
+          "--out", out], 0),
+        (["report"], 0),
+        (["betti", "--input", diamond, "--N", "3", "--format", "json"], 0),
+    ]
+    for k, (argv, expected) in enumerate(calls):
+        here, fresh = tmp_path / f"here{k}.txt", tmp_path / f"fresh{k}.txt"
+        code, stdout, _ = run_main(capsys, [str(here) if a == out else a for a in argv])
+        proc = subprocess.run(
+            [sys.executable, "-m", "mayerpath.cli"]
+            + [str(fresh) if a == out else a for a in argv],
+            capture_output=True, text=True, env=library_env())
+        assert code == proc.returncode == expected, (argv, proc.stderr)
+        assert stdout == proc.stdout, argv
+        if out in argv:
+            assert stdout == "" and here.read_text() == fresh.read_text() != "", argv

@@ -21,6 +21,7 @@ from mayerpath.homology import (
     cycle_space,
     poincare_identity_check,
 )
+from mayerpath.omega import omega_full
 from mayerpath.linalg import NotASubspace
 
 
@@ -442,6 +443,66 @@ def test_poincare_identity_on_fixtures():
                 rep = poincare_identity_check(P, N, q)
                 assert rep.bounded, (name, N, q)
                 assert rep.equal, (name, N, q)
+
+
+def reference_poincare(P, N, q, search_limit=12):
+    """The Poincare report with both sums and the division done by ``Scalar`` arithmetic."""
+    top = None
+    zero_run = 0
+    for n in range(search_limit + N + 2):
+        if len(P.paths(n)) == 0:
+            top = n - 1 - zero_run
+            break
+        if omega_full(P, n, N).space.dim == 0:
+            zero_run += 1
+            if zero_run >= N + 1:
+                top = n - zero_run
+                break
+        else:
+            zero_run = 0
+    if top is None:
+        return (False, -1, None, None, None)
+    lhs = Scalar.zero(N)
+    for n in range(top + 1):
+        d = omega_full(P, n, N).space.dim
+        if d:
+            lhs = lhs + zeta_power(N, n) * Scalar.from_rational(N, d)
+    total = Scalar.zero(N)
+    for i in range(top + q + 1):
+        b_main = betti(P, i, q, N) if i <= top else 0
+        b_shift = betti(P, i - q, N - q, N) if 0 <= i - q <= top else 0
+        if b_main - b_shift:
+            total = total + zeta_power(N, i) * Scalar.from_rational(N, b_main - b_shift)
+    rhs = total * (Scalar.one(N) - zeta_power(N, q)).inverse()
+    return (True, top, lhs, rhs, lhs == rhs)
+
+
+def test_poincare_integer_sums_match_scalar_reference():
+    from conftest import random_digraph
+
+    def outcome(report, P, N, q):
+        try:
+            return report(P, N, q)
+        except NotASubspace:
+            return "refused"
+
+    def integer(P, N, q):
+        rep = poincare_identity_check(P, N, q)
+        return (rep.bounded, rep.top_dim, rep.lhs, rep.rhs, rep.equal)
+
+    rng = random.Random(1414)
+    inputs = [(name, load_fixture(name), N) for name in ALL_FIXTURES for N in (2, 3, 4, 5)]
+    inputs += [(f"random {i}", path_complex_from_digraph(random_digraph(rng), 3), 2 + i % 4)
+               for i in range(30)]
+    inputs += [("digon", path_complex_from_digraph(parse_digraph("1 2\n2 1"), 3), N)
+               for N in (2, 3, 4, 5)]
+    seen = Counter()
+    for name, P, N in inputs:
+        for q in range(1, N):
+            got = outcome(integer, P, N, q)
+            assert got == outcome(reference_poincare, P, N, q), (name, N, q)
+            seen["refused" if got == "refused" else "bounded" if got[0] else "unbounded"] += 1
+    assert seen["bounded"] and seen["unbounded"], seen
 
 
 def test_single_vertex():

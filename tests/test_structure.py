@@ -38,6 +38,36 @@ def test_face_types(diamond):
     assert face_type(loop4, interned(loop4, "1", "2", "3")) is FaceType.NW
 
 
+def test_face_types_match_a_scan_of_all_two_paths():
+    # face_type looks alternative middles up by endpoint pair; the scan
+    # over every allowed 2-path is the reference
+    from conftest import random_digraph
+
+    def scanned(P, f):
+        a, mid, c = f
+        if not P.is_allowed(f):
+            return FaceType.NW
+        if P.has_edge(a, c):
+            return FaceType.T
+        if any(alt[0] == a and alt[2] == c and alt[1] != mid for alt in P.paths(2)):
+            return FaceType.S
+        return FaceType.W
+
+    rng = random.Random(717)
+    complexes = [load_fixture(name) for name in DIGRAPH_FIXTURES]
+    complexes += [path_complex_from_digraph(random_digraph(rng, allow_antiparallel=i % 2 == 1), 3)
+                  for i in range(30)]
+    seen = set()
+    for P in complexes:
+        faces = set(P.paths(2))
+        faces |= {v[:t] + v[t + 1:] for v in P.paths(3) for t in range(4)}
+        for f in sorted(faces):
+            if f[0] != f[1] and f[1] != f[2]:
+                seen.add(scanned(P, f))
+                assert face_type(P, f) is scanned(P, f), (P.labels, f)
+    assert seen == set(FaceType)
+
+
 def test_shortcut_beats_square():
     # both the shortcut edge and an alternative middle exist: T wins
     g = parse_digraph("1 2\n1 3\n2 4\n3 4\n1 4")
