@@ -18,10 +18,13 @@ win being a better value by the metric's direction.  ``gain`` marks a
 metric whose change won at least nine tenths of the pairs and whose
 medians differ by more than the distance between the base's quartiles;
 ``worse`` marks a median worse than the base's by more than the
-metric's bound.  The exit code is 1 when a run fails, gives a wrong
-answer or reports a failed case.  ``--out`` writes every pair's
-metrics and the summary as JSON, with the platform and a digest of each
-checkout's ``src/``.
+metric's bound.  Below the metrics it gives each side's median
+``attempted``, the number of case executions a run fitted into its
+time: perfbench keeps every answer, so ``peak_rss_mb`` grows with it,
+and a faster side reads a higher peak for that reason alone.  The exit
+code is 1 when a run fails, gives a wrong answer or reports a failed
+case.  ``--out`` writes every pair's metrics and the summary as JSON,
+with the platform and a digest of each checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -127,7 +130,10 @@ def main() -> int:
                                       for side in ("base", "change")))
             for m in bench["end_to_end"]
         }
-        record["workloads"][workload] = {"pairs": pairs, "summary": summary}
+        attempted = {side: statistics.median(p[side]["attempted"] for p in pairs)
+                     for side in sides}
+        record["workloads"][workload] = {"pairs": pairs, "summary": summary,
+                                         "attempted_median": attempted}
         print(f"{'metric':12s} {'base median':>11s} {'[q1, q3]':>22s} {'change median':>13s} "
               f"{'[q1, q3]':>22s} {'shift':>7s} {'wins':>6s}  verdict")
         for name, s in summary.items():
@@ -136,6 +142,9 @@ def main() -> int:
             print(f"{name:12s} {b['median']:11.5f} [{b['q1']:9.5f}, {b['q3']:9.5f}] "
                   f"{c['median']:13.5f} [{c['q1']:9.5f}, {c['q3']:9.5f}] {s['shift']:+7.1%} "
                   f"{s['wins']:3d}/{s['pairs']:<2d}  {verdict}", flush=True)
+        print(f"{'attempted':12s} {attempted['base']:11.1f} {'':22s} "
+              f"{attempted['change']:13.1f} {'':22s} executions (median), "
+              "which peak_rss_mb grows with", flush=True)
     if args.out:
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0 if ok else 1

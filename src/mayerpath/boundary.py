@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import PathComplex, Path, face
-from .cyclotomic import Scalar, integer_powers, q_factorial, zeta_power
+from .cyclotomic import Scalar, power_sum, q_factorial, zeta_power
 from .linalg import Matrix
 
 Chain = dict[Path, Scalar]
@@ -166,20 +166,13 @@ def boundary_power_matrix(P: PathComplex, n: int, q: int, N: int) -> BoundaryMat
         P._memo[key] = result
         return result
 
-    powers = integer_powers(N)
-    phi = len(powers[0])
     scalars: dict[tuple[int, ...], Scalar | None] = {}
 
     def to_scalar(vec: list[int]) -> Scalar | None:
         """The entry in Q(zeta_N), or None where it vanishes there."""
         key = tuple(vec)
         if key not in scalars:
-            coeffs = [0] * phi
-            for k, c in enumerate(vec):
-                if c:
-                    for i, t in enumerate(powers[k]):
-                        if t:
-                            coeffs[i] += c * t
+            coeffs = power_sum(N, vec)
             scalars[key] = (Scalar(N, tuple(Fraction(c) for c in coeffs))
                             if any(coeffs) else None)
         return scalars[key]
@@ -241,7 +234,7 @@ def nonregular_power(p: Path, r: int, N: int) -> Chain:
             if len(pp) <= 1:
                 continue
             for j in range(len(pp)):
-                _add_term(out, face(pp, j), c * zeta_power(N, j))
+                _add_term(out, face(pp, j), c.times_unit(j))
         chain = out
     return chain
 
@@ -272,6 +265,6 @@ def kapranov_expansion_check(p: Path, r: int, N: int) -> bool:
             if len(subset) == len(p):
                 continue  # deleting every vertex leaves nothing below dim 0
             remaining = tuple(v for i, v in enumerate(p) if i not in subset)
-            coeff = factor * zeta_power(N, sum(subset) - shift)
+            coeff = factor.times_unit(sum(subset) - shift)
             _add_term(rhs, remaining, coeff)
     return lhs == rhs

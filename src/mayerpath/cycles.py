@@ -99,20 +99,39 @@ def is_admissible(c: UndirectedCycle, N: int) -> bool:
     return N % 2 == 0 and diff % N == N // 2
 
 
-def _step_weights(step: Step, N: int) -> tuple[Scalar, Scalar]:
-    """(x, x*) for one step: x at the tail vertex, x* at the head, x x* = zeta."""
-    if step.aligned:
-        return zeta_power(N, 1), Scalar.one(N)
-    return Scalar.one(N), zeta_power(N, 1)
+def _step_exponents(step: Step) -> tuple[int, int]:
+    """(e, e*): x = zeta^e at the tail vertex, x* = zeta^e* at the head, x x* = zeta."""
+    return (1, 0) if step.aligned else (0, 1)
+
+
+def _walk_weights(steps, first: Scalar) -> list[Scalar]:
+    """The weights y_j along a walk from y_0 = first: y_j = -(x*_{j-1} / x_j) * y_{j-1}.
+
+    Each ratio is a unit, so every step is one rotation ``Scalar.times_unit``.
+    """
+    ys = [first]
+    for prev, step in zip(steps, steps[1:]):
+        ys.append(ys[-1].times_unit(_step_exponents(prev)[1] - _step_exponents(step)[0], -1))
+    return ys
+
+
+def _add_walk(chain: WeightedChain, steps, first: Scalar) -> None:
+    """Add the walk weights from ``first`` onto the edges of the steps."""
+    for s, y in zip(steps, _walk_weights(steps, first)):
+        cur = chain.get(s.edge)
+        val = y if cur is None else cur + y
+        if val:
+            chain[s.edge] = val
+        else:
+            chain.pop(s.edge, None)
 
 
 def _chain_boundary_residual(chain: WeightedChain, n_vertices: int, N: int) -> list[Scalar]:
     zero = Scalar.zero(N)
     out = [zero] * n_vertices
-    xi = zeta_power(N, 1)
     for (u, v), c in chain.items():
         out[v] = out[v] + c
-        out[u] = out[u] + c * xi
+        out[u] = out[u] + c.times_unit(1)
     return out
 
 
@@ -120,19 +139,8 @@ def admissible_weights(c: UndirectedCycle, N: int) -> WeightedChain:
     """Kernel element supported on an admissible cycle, first weight 1."""
     if not is_admissible(c, N):
         raise NotAdmissible("cycle orientation profile fails the congruence")
-    ys = [Scalar.one(N)]
-    for j in range(1, c.length):
-        x_prev_star = _step_weights(c.steps[j - 1], N)[1]
-        x_j = _step_weights(c.steps[j], N)[0]
-        ys.append(-(x_prev_star * x_j.inverse()) * ys[-1])
     chain: WeightedChain = {}
-    for s, y in zip(c.steps, ys):
-        cur = chain.get(s.edge)
-        val = y if cur is None else cur + y
-        if val:
-            chain[s.edge] = val
-        else:
-            chain.pop(s.edge, None)
+    _add_walk(chain, c.steps, Scalar.one(N))
     n_vertices = max(max(e) for e in chain) + 1
     if any(_chain_boundary_residual(chain, n_vertices, N)):
         raise InvariantViolation("admissible cycle weights failed to close")
@@ -150,14 +158,9 @@ def _rotate_to(c: UndirectedCycle, vertex: int) -> UndirectedCycle:
 
 def _path_transfer(steps, N: int) -> tuple[Scalar, Scalar, Scalar]:
     """(x_first, x*_last, rho): last weight = rho * first weight along a path."""
-    x_first = _step_weights(steps[0], N)[0]
-    rho = Scalar.one(N)
-    for j in range(1, len(steps)):
-        x_prev_star = _step_weights(steps[j - 1], N)[1]
-        x_j = _step_weights(steps[j], N)[0]
-        rho = -(x_prev_star * x_j.inverse()) * rho
-    x_last_star = _step_weights(steps[-1], N)[1]
-    return x_first, x_last_star, rho
+    rho = _walk_weights(steps, Scalar.one(N))[-1]
+    return (zeta_power(N, _step_exponents(steps[0])[0]),
+            zeta_power(N, _step_exponents(steps[-1])[1]), rho)
 
 
 def _shared_run(I: UndirectedCycle, J: UndirectedCycle) -> tuple[list[Step], ...] | None:
@@ -253,20 +256,8 @@ def merge_element(I: UndirectedCycle, J: UndirectedCycle, N: int) -> WeightedCha
 
     chain: WeightedChain = {}
     for path, w0 in zip(paths, weights):
-        if not path or w0 is None:
-            continue
-        y = w0
-        for j, step in enumerate(path):
-            if j > 0:
-                x_prev_star = _step_weights(path[j - 1], N)[1]
-                x_j = _step_weights(step, N)[0]
-                y = -(x_prev_star * x_j.inverse()) * y
-            cur = chain.get(step.edge)
-            val = y if cur is None else cur + y
-            if val:
-                chain[step.edge] = val
-            else:
-                chain.pop(step.edge, None)
+        if path and w0 is not None:
+            _add_walk(chain, path, w0)
     if not chain:
         raise NotApplicable("merge collapsed to the zero chain")
     n_vertices = max(max(s.edge) for p in paths for s in p) + 1

@@ -4,6 +4,18 @@ Elements are represented as polynomials in Q[x] reduced modulo the N-th
 cyclotomic polynomial Phi_N, so every value is an exact vector of
 ``euler_phi(N)`` rationals.  Nothing here is approximate: equality with
 zero is decidable, which is what rank computations downstream rely on.
+
+Every power of zeta becomes coefficients here, through one table of
+x^k mod Phi_N (``integer_powers``), and no other module reads it:
+
+* ``rotate`` multiplies a coefficient tuple, of ints or of Fractions, by
+  a unit +-zeta^k, moving each coefficient up k places and reducing the
+  places at or above phi(N); the result has the input's number type;
+* ``Scalar.times_unit`` is that rotation of a ``Scalar``, with neither a
+  general product nor an inverse;
+* ``unit_exponent`` finds (k, sign) with c = sign * zeta^k, or None;
+* ``power_sum`` adds up sum_n w_n zeta^n for integer weights as phi(N)
+  ints.
 """
 
 from __future__ import annotations
@@ -103,6 +115,50 @@ def integer_powers(order: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _power_terms(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of ``integer_powers`` as (place, integer) terms, nonzero ones only."""
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in integer_powers(order))
+
+
+def rotate(coeffs: tuple, k: int, order: int, sign: int = 1) -> tuple:
+    """sign * zeta^k times the element with these coefficients, in the same number type.
+
+    Coefficient i moves to row i + k of ``integer_powers``, 0 <= k < order
+    after reduction, so ints stay ints and Fractions stay Fractions, the
+    places no term reaches included.
+    """
+    k %= order
+    if not k and sign == 1:
+        return tuple(coeffs)
+    terms = _power_terms(order)
+    out = [_F0 if isinstance(coeffs[0], Fraction) else 0] * len(coeffs)
+    for i, a in enumerate(coeffs):
+        if not a:
+            continue
+        if sign < 0:
+            a = -a
+        for t, m in terms[i + k]:
+            if m == 1:
+                out[t] += a
+            elif m == -1:
+                out[t] -= a
+            else:               # Phi_N has a coefficient beyond +-1 first at N = 105
+                out[t] += m * a
+    return tuple(out)
+
+
+def power_sum(order: int, weights) -> tuple[int, ...]:
+    """sum_n weights[n] * zeta^n for integer weights, as phi(order) ints."""
+    powers = integer_powers(order)
+    acc = [0] * len(powers[0])
+    for n, w in enumerate(weights):
+        if w:
+            for i, c in enumerate(powers[n % order]):
+                acc[i] += w * c
+    return tuple(acc)
+
+
+@lru_cache(maxsize=None)
 def _power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
     """``integer_powers`` as Fractions, the reduction table of ``Scalar`` products."""
     return tuple(tuple(Fraction(c) for c in row) for row in integer_powers(order))
@@ -180,6 +236,10 @@ class Scalar:
         return Scalar(self.order, tuple(out))
 
     __rmul__ = __mul__
+
+    def times_unit(self, k: int, sign: int = 1) -> "Scalar":
+        """sign * zeta^k * self, as a rotation of the coefficients (see ``rotate``)."""
+        return Scalar(self.order, rotate(self.coeffs, k, self.order, sign))
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
@@ -269,14 +329,23 @@ def zeta_power(order: int, k: int) -> Scalar:
     return _zeta_cache(order, k % order)
 
 
+@lru_cache(maxsize=None)
+def _units(order: int) -> dict[tuple, tuple[int, int]]:
+    """Coefficients of each unit sign * zeta^k -> (k, sign); sign 1 where both exist."""
+    one = _one(order).coeffs
+    return {rotate(one, k, order, sign): (k, sign) for sign in (-1, 1) for k in range(order)}
+
+
+def unit_exponent(c: Scalar) -> tuple[int, int] | None:
+    """(k, sign) with c = sign * zeta^k, 0 <= k < order, or None when c is no such unit."""
+    return _units(c.order).get(c.coeffs)
+
+
 def q_integer(order: int, n: int) -> Scalar:
     """[n]_q = 1 + q + ... + q^{n-1} at q = zeta_N."""
     if order < 2:
         raise ValueError("root-of-unity order must be >= 2")
-    total = _zero(order)
-    for i in range(n):
-        total = total + zeta_power(order, i)
-    return total
+    return Scalar(order, tuple(Fraction(c) for c in power_sum(order, [1] * n)))
 
 
 def q_factorial(order: int, n: int) -> Scalar:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .complexes import PathComplex
-from .cyclotomic import Scalar, cyclotomic_polynomial, euler_phi, integer_powers, zeta_power
+from .cyclotomic import Scalar, power_sum, unit_exponent, zeta_power
 from .linalg import NotASubspace, Row, Subspace
 from .omega import (_image_rank, _images, _in_field, _integer_basis, _kernel_within,
                     _nth_power_record, omega_full)
@@ -189,7 +189,7 @@ def poincare_identity_check(P: PathComplex, N: int, q: int,
     flagged unbounded and no values are produced.
 
     Both sums have integer weights, so each is added up as phi(N) ints
-    over ``cyclotomic.integer_powers`` and becomes one ``Scalar``; the
+    by ``cyclotomic.power_sum`` and becomes one ``Scalar``; the
     right side is then one product with (1 - zeta^q)^-1, which is
     inverted once per (N, q) and process.
     """
@@ -219,12 +219,7 @@ def poincare_identity_check(P: PathComplex, N: int, q: int,
 
 def _integer_sum(N: int, weights: list[int]) -> Scalar:
     """sum_n weights[n] * zeta^n, added up in Z[zeta_N] as phi(N) ints."""
-    powers = integer_powers(N)
-    acc = [0] * euler_phi(N)
-    for n, w in enumerate(weights):
-        for i, c in enumerate(powers[n % N]):
-            acc[i] += w * c
-    return Scalar(N, tuple(Fraction(c) for c in acc))
+    return Scalar(N, tuple(Fraction(c) for c in power_sum(N, weights)))
 
 
 @lru_cache(maxsize=None)
@@ -244,59 +239,11 @@ def _geometric_factor(N: int, q: int) -> Scalar:
 # table (n, q-1), and the tables are shared by the Omega levels, the
 # cycle kernels and the boundary images.  Containment of boundaries in
 # cycles is one elimination per (n, q) cell.  Products with a unit
-# +-zeta^k are rotations: each coefficient moves up k places and the
-# places at or above phi(N) are reduced modulo Phi_N.  So the face
-# weights zeta^j of d^1 and the normalisation of a unit pivot, by
-# +-zeta^(N-k), need neither a general product nor an inverse.
-
-
-@lru_cache(maxsize=None)
-def _oracle_reduced_powers(N: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """x^k mod Phi_N as (place, integer) terms, for k = 0 .. N + phi(N) - 2."""
-    mod = cyclotomic_polynomial(N)
-    phi = len(mod) - 1
-    rows = [[int(i == k) for i in range(phi)] for k in range(phi)]
-    for _ in range(N - 1):
-        # x * x^k: shift up one place, then x^phi = x^phi - Phi_N.
-        carry, row = rows[-1][-1], [0] + rows[-1][:-1]
-        rows.append([r - carry * m for r, m in zip(row, mod)])
-    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
-
-
-def _oracle_rotate(c: Scalar, j: int, sign: int = 1) -> Scalar:
-    """sign * c * zeta^j as a coefficient shift reduced modulo Phi_N."""
-    N = c.order
-    j %= N
-    if not j and sign == 1:
-        return c
-    powers = _oracle_reduced_powers(N)
-    out = list(Scalar.zero(N).coeffs)
-    for i, a in enumerate(c.coeffs):
-        if not a:
-            continue
-        if sign < 0:
-            a = -a
-        for t, m in powers[i + j]:
-            if m == 1:
-                out[t] += a
-            elif m == -1:
-                out[t] -= a
-            else:               # Phi_N has a coefficient beyond +-1 first at N = 105
-                out[t] += m * a
-    return Scalar(N, tuple(out))
-
-
-@lru_cache(maxsize=None)
-def _oracle_units(N: int) -> dict[tuple, tuple[int, int]]:
-    """Coefficients of each unit sign * zeta^k -> (k, sign); sign 1 where both exist."""
-    one = Scalar.one(N)
-    return {_oracle_rotate(one, k, sign).coeffs: (k, sign)
-            for sign in (-1, 1) for k in range(N)}
-
-
-def _oracle_unit(c: Scalar) -> tuple[int, int] | None:
-    """(k, sign) with c = sign * zeta^k, or None when c is no such unit."""
-    return _oracle_units(c.order).get(c.coeffs)
+# +-zeta^k are the rotations of ``Scalar.times_unit``, and unit pivots
+# are recognised by ``cyclotomic.unit_exponent``: the scalar arithmetic
+# the oracle shares.  So the face weights zeta^j of d^1 and the
+# normalisation of a unit pivot, by +-zeta^(N-k), need neither a general
+# product nor an inverse.
 
 
 def _oracle_d1(chain: dict) -> dict:
@@ -311,7 +258,7 @@ def _oracle_d1(chain: dict) -> dict:
             if 0 < j < last and pp[j - 1] == pp[j + 1]:
                 continue
             f = pp[:j] + pp[j + 1:]
-            add = _oracle_rotate(c, j)
+            add = c.times_unit(j)
             cur = out.get(f)
             val = add if cur is None else cur + add
             if val:
@@ -354,13 +301,13 @@ def _dense_eliminate(rows: list[list[Scalar]]) -> list[list[Scalar]]:
                 break
         if pr is None:
             continue
-        unit = _oracle_unit(rows[pr][c])
+        unit = unit_exponent(rows[pr][c])
         if unit is None:
             inv = rows[pr][c].inverse()
             rows[pr] = [v * inv if v else v for v in rows[pr]]
         elif unit != (0, 1):
             k, sign = unit
-            rows[pr] = [_oracle_rotate(v, -k, sign) if v else v for v in rows[pr]]
+            rows[pr] = [v.times_unit(-k, sign) if v else v for v in rows[pr]]
         for i in range(len(rows)):
             if i != pr and rows[i][c]:
                 f = rows[i][c]

@@ -39,10 +39,10 @@ integers Z[zeta_N]: each basis row of a level is scaled by the lcm of
 its denominators (``_integer_basis``), an entry is a tuple of phi(N)
 ints in the power basis, and d^1 is the N-free table of
 ``boundary.faces``, whose entries are the units zeta^j; multiplying by
-zeta^j reads the int table ``cyclotomic.integer_powers`` of x^k mod
-Phi_N.  Scaling a row scales its images and changes no rank; dividing
-an image by its row's scale (``_in_field``) gives the image of the
-basis row in Q(zeta_N), where the level's kernel is solved.
+zeta^j is the rotation ``cyclotomic.rotate`` of the int coefficients.
+Scaling a row scales its images and changes no rank; dividing an image
+by its row's scale (``_in_field``) gives the image of the basis row in
+Q(zeta_N), where the level's kernel is solved.
 
 ``_image_rank`` takes the rank of an image set with
 ``linalg.certified_rank``: F_p ranks at successive primes p = 1 (mod N)
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 from .boundary import boundary_power_matrix, faces
 from .complexes import Path, PathComplex
-from .cyclotomic import Scalar, euler_phi, integer_powers
+from .cyclotomic import Scalar, euler_phi, rotate
 from .linalg import (InvariantViolation, IntRow, Matrix, Row, Subspace, _sub_scaled,
                      certified_rank, nullspace)
 
@@ -327,9 +327,8 @@ def apply_regular_power(P: PathComplex, n: int, N: int,
     if n < 1 or not any(chains):
         return [{} for _ in chains], False
     table = faces(P, n)
-    powers = integer_powers(N)
-    phi = len(powers[0])
-    products: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    phi = euler_phi(N)
+    products: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
     images = []
     for x in chains:
         sums: dict[int, list[int]] = {}
@@ -338,13 +337,7 @@ def apply_regular_power(P: PathComplex, n: int, N: int,
                 j %= N
                 term = products.get((a, j))
                 if term is None:
-                    term = [0] * phi
-                    for i, ai in enumerate(a):
-                        if ai:
-                            for k, t in enumerate(powers[i + j]):
-                                if t:
-                                    term[k] += ai * t
-                    products[(a, j)] = term
+                    term = products[(a, j)] = rotate(a, j, N)
                 acc = sums.get(r)
                 if acc is None:
                     sums[r] = list(term)

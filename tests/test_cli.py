@@ -85,14 +85,15 @@ def test_invalid_order_exits_one(capsys, fixture_file):
 
 def test_order_above_bound_exits_one_before_field_arithmetic(capsys, fixture_file):
     from mayerpath.cli import MAX_ORDER
-    from mayerpath.cyclotomic import _power_table
+    from mayerpath.cyclotomic import _power_table, _power_terms, _units, integer_powers
 
-    tables = _power_table.cache_info().currsize
+    caches = (integer_powers, _power_table, _power_terms, _units)
+    tables = [cache.cache_info().currsize for cache in caches]
     code, out, err = run_main(capsys, [
         "betti", "--input", fixture_file("diamond"), "--N", "1000000000"])
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: N must be <= {MAX_ORDER}"]
-    assert _power_table.cache_info().currsize == tables
+    assert [cache.cache_info().currsize for cache in caches] == tables
 
 
 def test_bad_input_exits_one(capsys, tmp_path):

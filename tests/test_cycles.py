@@ -15,7 +15,7 @@ from mayerpath.cycles import (
     z1_generators,
     z1_kernel_space,
 )
-from mayerpath.cyclotomic import Scalar, zeta_power
+from mayerpath.cyclotomic import Scalar, unit_exponent, zeta_power
 from mayerpath.fixtures import DIGRAPH_FIXTURES, load_digraph
 
 
@@ -201,6 +201,9 @@ def test_z1_random_sweep():
                 vec = {basis.index(e): c for e, c in gen.chain.items()}
                 assert kernel.contains(vec)
                 vecs.append(vec)
+                # one walk from weight 1 puts a unit +-zeta^k on every edge of a cycle
+                if gen.kind == "cycle":
+                    assert all(unit_exponent(c) is not None for c in gen.chain.values())
             if vecs:
                 span = Subspace.from_spanning(vecs, len(basis), N)
                 assert span.dim == kernel.dim

@@ -11,8 +11,11 @@ from mayerpath.cyclotomic import (
     Scalar,
     cyclotomic_polynomial,
     euler_phi,
+    power_sum,
     q_factorial,
     q_integer,
+    rotate,
+    unit_exponent,
     zeta_power,
 )
 
@@ -183,3 +186,79 @@ def test_numeric_agreement_with_mpmath():
             prod = a * b
             fp = sum(complex(c) * complex(root) ** i for i, c in enumerate(prod.coeffs))
             assert abs(fa * fb - fp) < 1e-9
+
+
+def _sparse_random_scalar(rng, N):
+    """A Q(zeta_N) element with small random rational coefficients, some of them zero."""
+    phi = len(Scalar.zero(N).coeffs)
+    return Scalar(N, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7
+                           else Fraction(0) for _ in range(phi)))
+
+
+def test_rotation_equals_the_product_with_the_unit():
+    rng = random.Random(5)
+    for N in range(2, 8):
+        for _ in range(12):
+            c = _sparse_random_scalar(rng, N)
+            for j in range(-N, 2 * N):
+                for sign in (1, -1):
+                    assert c.times_unit(j, sign) == sign * c * zeta_power(N, j), (N, c, j)
+    # Phi_105 is the first cyclotomic polynomial with a coefficient beyond +-1 (-2)
+    c = _sparse_random_scalar(rng, 105)
+    for j in (1, 47, 48, 60, 104):
+        assert c.times_unit(j, -1) == -c * zeta_power(105, j), j
+
+
+def test_unit_detection_is_exact_on_the_units():
+    rng = random.Random(6)
+    for N in range(2, 8):
+        units = {sign * zeta_power(N, k) for k in range(N) for sign in (1, -1)}
+        for u in units:
+            k, sign = unit_exponent(u)
+            assert 0 <= k < N and sign in (1, -1) and sign * zeta_power(N, k) == u
+        # |zeta^i + zeta^j| = 1 exactly when i - j = +-N/3, as in 1 + zeta_3 = -zeta_3^2
+        others = [zeta_power(N, i) + zeta_power(N, j) for i in range(N) for j in range(N)]
+        assert any(c in units for c in others) == (N % 3 == 0)
+        others += [Scalar.zero(N), 2 * Scalar.one(N), Fraction(1, 2) * zeta_power(N, 1)]
+        others += [_sparse_random_scalar(rng, N) for _ in range(40)]
+        for c in others:
+            assert (unit_exponent(c) is not None) == (c in units), (N, c)
+
+
+def test_rotate_on_int_tuples_equals_the_scalar_product():
+    rng = random.Random(8)
+    cases = [(N, (*range(-1, N + 1), 2 * N + 3), 10) for N in range(2, 8)]
+    cases.append((105, (1, 47, 48, 60, 104), 2))     # Phi_105 has a coefficient -2
+    for N, exponents, samples in cases:
+        phi = euler_phi(N)
+        for _ in range(samples):
+            a = tuple(rng.randint(-5, 5) if rng.random() < 0.7 else 0 for _ in range(phi))
+            for j in exponents:
+                for sign in (1, -1):
+                    got = rotate(a, j, N, sign)
+                    want = sign * Scalar(N, tuple(map(Fraction, a))) * zeta_power(N, j)
+                    assert got == want.coeffs and len(got) == phi, (N, a, j, sign)
+                    assert all(type(v) is int for v in got), (N, a, j, sign)
+
+
+def test_rotate_keeps_fraction_coefficients():
+    rng = random.Random(9)
+    for N in (*range(2, 8), 105):
+        for c in (Scalar.zero(N), Scalar.one(N), _sparse_random_scalar(rng, N)):
+            for j in (0, 1, N - 1, N + 2):
+                for sign in (1, -1):
+                    got = rotate(c.coeffs, j, N, sign)
+                    assert all(type(v) is Fraction for v in got), (N, c, j, sign)
+                    assert all(type(v) is Fraction for v in c.times_unit(j, sign).coeffs)
+
+
+def test_power_sum_equals_the_sum_of_zeta_powers():
+    rng = random.Random(10)
+    for N in range(2, 8):
+        for length in (0, 1, N, 2 * N + 1, 3 * N + 2):
+            weights = [rng.randint(-6, 6) for _ in range(length)]
+            want = Scalar.zero(N)
+            for n, w in enumerate(weights):
+                want = want + w * zeta_power(N, n)
+            got = power_sum(N, weights)
+            assert got == want.coeffs and all(type(v) is int for v in got), (N, weights)
