@@ -12,14 +12,16 @@ Powers of the regular operator are computed by iterating it through the
 full regular span, so intermediate irregular faces are dropped at every
 step, not only at the end.  On invariant chains d^1 has one form,
 ``faces``: the faces of the allowed n-paths, enumerated once per
-dimension for every N and applied over Z[zeta_N]
-(``omega.apply_regular_power``); the Omega levels and the images of the
-Betti path are iterated applications of it.  ``BoundaryMatrix`` is the
-Q(zeta_N) matrix of a power d^q, summed over the integer group ring for
-every q; it serves the single-level spaces ``omega.omega_nq`` (q >= 2),
-``verify_nilpotency`` on the regular span and the degree-1 kernel of
-``cycles``, which read its entries and never apply it.  The free
-operator below exists only to check the paper's closed form.
+dimension for every N.  The non-allowed rows of level 1 are read off it
+(``omega._ordinary_rows``), and the higher levels and the images of the
+Betti path are iterated applications of it over Z[zeta_N]
+(``omega.apply_regular_power``).  ``BoundaryMatrix`` is the Q(zeta_N)
+matrix of a power d^q, summed over the integer group ring for every q.
+It serves the two jobs whose intermediate images d^s x leave the allowed
+span, so that ``faces`` cannot carry them: the single-level spaces
+``omega.omega_nq`` (q >= 2) and ``verify_nilpotency`` on the regular
+span.  Both read its entries and never apply it.  The free operator
+below exists only to check the paper's closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import PathComplex, Path, face
-from .cyclotomic import Scalar, power_sum, q_factorial, zeta_power
+from .cyclotomic import Scalar, power_sum, q_factorial
 from .linalg import Matrix
 
 Chain = dict[Path, Scalar]
@@ -60,10 +62,6 @@ class BoundaryMatrix:
     row_paths: tuple[Path, ...]
     allowed_rows: int
     entries: dict[tuple[int, int], Scalar]
-
-    @property
-    def matrix(self) -> Matrix:
-        return Matrix(len(self.row_paths), len(self.col_paths), self.order, self.entries)
 
     def nonallowed_block(self) -> Matrix:
         entries = {
@@ -216,17 +214,8 @@ def verify_nilpotency(P: PathComplex, N: int, n_max: int) -> bool:
 # -- the free (non-regular) operator ------------------------------------
 
 
-def nonregular_boundary_chain(p: Path, N: int) -> Chain:
-    """Boundary on the free module over all elementary paths."""
-    out: Chain = {}
-    if len(p) <= 1:
-        return out
-    for j in range(len(p)):
-        _add_term(out, face(p, j), zeta_power(N, j))
-    return out
-
-
 def nonregular_power(p: Path, r: int, N: int) -> Chain:
+    """The r-th power of the boundary on the free module over all elementary paths."""
     chain: Chain = {p: Scalar.one(N)}
     for _ in range(r):
         out: Chain = {}

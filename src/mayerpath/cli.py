@@ -65,6 +65,8 @@ def _load_input(path: str, kind: str, max_dim: int) -> tuple[PathComplex, Digrap
                 return path_complex_from_digraph(g, max_dim), g
             if "simplices" in data:
                 return path_complex_from_simplicial(simplices_from_json(data["simplices"])), None
+            if kind == "simplicial":
+                raise InputError(f"{path}: --kind simplicial needs a 'simplices' key")
             raise InputError("JSON input needs an 'edges' or 'simplices' key")
         if kind == "digraph":
             g = parse_digraph(text)
@@ -296,7 +298,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = run_compat_report(max_dim=3)
+    report = run_compat_report()
     if args.format == "json":
         _emit(_json_dumps(report.to_json_dict()), args.out)
     else:

@@ -274,15 +274,6 @@ class PathComplex:
         """Render a path in e-notation with the original labels."""
         return "e_{" + ",".join(self.labels[i] for i in p) + "}"
 
-    def check_closure(self, max_dim: int) -> bool:
-        """Both end truncations of every allowed path are allowed."""
-        for n in range(1, max_dim + 1):
-            lower = self.allowed_set(n - 1)
-            for p in self.paths(n):
-                if p[:-1] not in lower or p[1:] not in lower:
-                    return False
-        return True
-
     # -- identity ----------------------------------------------------------
 
     def digest(self) -> str:

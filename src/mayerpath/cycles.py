@@ -8,14 +8,17 @@ spanning forest, weighted accordingly, generate the kernel; when the
 construction provably cannot cover it (disjoint non-admissible cycles)
 the missing directions are emitted as flagged completion vectors rather
 than dropped.
+
+The exact kernel they are compared with is solved from the closed form
+of the edge boundary, e_uv -> e_v + zeta e_u, with no path complex
+(``z1_kernel_space``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import boundary_power_matrix
-from .complexes import Digraph, PathComplex
+from .complexes import Digraph
 from .cyclotomic import Scalar, zeta_power
 from .linalg import InvariantViolation, Matrix, Subspace, nullspace
 
@@ -60,20 +63,6 @@ class UndirectedCycle:
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(s.tail for s in self.steps)
-
-    @staticmethod
-    def from_vertices(verts: list[int], edge_set: frozenset[Edge]) -> "UndirectedCycle":
-        steps = []
-        n = len(verts)
-        for i in range(n):
-            u, v = verts[i], verts[(i + 1) % n]
-            if (u, v) in edge_set:
-                steps.append(Step(u, v, (u, v), True))
-            elif (v, u) in edge_set:
-                steps.append(Step(u, v, (v, u), False))
-            else:
-                raise ValueError(f"no digraph edge between {u} and {v}")
-        return UndirectedCycle(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -367,10 +356,19 @@ def fundamental_cycles(g: Digraph) -> list[UndirectedCycle]:
 
 
 def z1_kernel_space(g: Digraph, N: int) -> tuple[Subspace, tuple[Edge, ...]]:
-    """Exact kernel of the weighted edge boundary, with its edge basis."""
-    P = PathComplex.from_digraph(g, max_dim=1)
-    bm = boundary_power_matrix(P, 1, 1, N)
-    return nullspace(bm.matrix), bm.col_paths
+    """Exact kernel of the weighted edge boundary, with its edge basis.
+
+    The edges come in lexicographic order, the order of the allowed
+    1-paths, and d sends e_uv to e_v + zeta e_u (as in
+    ``_chain_boundary_residual``): one row per vertex.
+    """
+    edges = tuple(sorted(g.edges))
+    one, zeta = Scalar.one(N), zeta_power(N, 1)
+    entries = {}
+    for c, (u, v) in enumerate(edges):
+        entries[(v, c)] = one
+        entries[(u, c)] = zeta
+    return nullspace(Matrix(g.n, len(edges), N, entries)), edges
 
 
 def z1_generators(g: Digraph, N: int) -> Z1Result:
@@ -434,24 +432,7 @@ def z1_generators(g: Digraph, N: int) -> Z1Result:
                 if span.dim == kernel.dim:
                     break
 
-    components = _count_components(g)
-    bound = len(g.edges) - g.n + components
-    if kernel.dim > bound:
+    # one fundamental cycle per non-tree edge: |E| - |V| + components
+    if kernel.dim > len(cycles):
         raise InvariantViolation("kernel exceeded the circuit-rank bound")
     return Z1Result(generators, cycles, flags, kernel.dim, shortfall)
-
-
-def _count_components(g: Digraph) -> int:
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(v) for v in range(g.n)})

@@ -160,6 +160,9 @@ def betti_table(P: PathComplex, N: int, max_dim: int = 3) -> BettiTable:
 
 # -- Poincare polynomial diagnostic --------------------------------------
 
+# The end of the complex is looked for in dimensions 0 .. POINCARE_SEARCH_LIMIT + N + 1.
+POINCARE_SEARCH_LIMIT = 12
+
 
 @dataclass
 class PoincareReport:
@@ -177,15 +180,15 @@ class PoincareReport:
         return self.lhs == self.rhs
 
 
-def poincare_identity_check(P: PathComplex, N: int, q: int,
-                            search_limit: int = 12) -> PoincareReport:
+def poincare_identity_check(P: PathComplex, N: int, q: int) -> PoincareReport:
     """Compare sum_i dim(C_i) z^i with its expression through Betti numbers.
 
     The identity reads P_C(z) = (1 - z^q)^{-1} * sum_i z^i (b_i^{N,q} -
     b_{i-q}^{N,N-q}) for the complex C_i = Omega_i^N.  The complex counts
     as bounded when the allowed paths run out, or when the invariant
     spaces vanish for N+1 consecutive dimensions (enough slack for every
-    boundary space the truncated sums touch).  Otherwise the report is
+    boundary space the truncated sums touch), within the first
+    ``POINCARE_SEARCH_LIMIT + N + 2`` dimensions.  Otherwise the report is
     flagged unbounded and no values are produced.
 
     Both sums have integer weights, so each is added up as phi(N) ints
@@ -195,7 +198,7 @@ def poincare_identity_check(P: PathComplex, N: int, q: int,
     """
     top = None
     zero_run = 0
-    for n in range(search_limit + N + 2):
+    for n in range(POINCARE_SEARCH_LIMIT + N + 2):
         if len(P.paths(n)) == 0:
             top = n - 1 - zero_run
             break

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(zeta_N): ranks, nullspaces, subspace lattice ops.
+"""Exact linear algebra over Q(zeta_N): ranks, nullspaces, spans and membership.
 
 Matrices are sparse maps (row, col) -> Scalar.  There is one exact
 elimination, ``_rref``: ``_forward`` takes the rows one at a time, keeps
@@ -9,8 +9,7 @@ Subspaces are stored as RREF bases of sparse rows, each a dict of its
 nonzero entries with keys in ascending column order, so two subspaces
 are equal iff their stored rows are identical.  Where an elimination
 already yields canonical rows, the basis is read off it and not reduced
-again: in ``intersect`` and ``omega._kernel_within`` (proofs in their
-docstrings).
+again, as in ``omega._kernel_within`` (proof in its docstring).
 
 ``certified_rank`` ranks rows over the ring of integers Z[zeta_N], each
 entry a tuple of phi(N) ints in the power basis, with no arithmetic in
@@ -50,7 +49,7 @@ IntRow = dict[int, tuple[int, ...]]  # entries of Z[zeta_N], phi(N) ints in the 
 
 
 class AmbientMismatch(ValueError):
-    """Subspaces of different ambient dimensions or field orders."""
+    """A vector with a column outside the ambient space of its subspace."""
 
 
 class NotASubspace(ValueError):
@@ -287,10 +286,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _check(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim or self.order != other.order:
-            raise AmbientMismatch("subspaces live in different ambient spaces")
-
     def reduce(self, vector: Row) -> Row:
         """Residual of vector after reduction against the basis."""
         residual = _checked(vector, self.ambient_dim)
@@ -348,28 +343,3 @@ def nullspace(m: Matrix) -> Subspace:
     if space.dim + len(lead) != m.cols:
         raise InvariantViolation("rank-nullity violated")
     return space
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block construction.
-
-    The rows (a_i | a_i) and (b_j | 0) span the pairs (u + v, u), u in A,
-    v in B; such a pair has left half 0 exactly when u = -v, so the pairs
-    with left half 0 are the (0, w), w in A cap B.  In the RREF of the
-    rows, those with a pivot at a column >= ambient have no entry left of
-    it: they span exactly these pairs.  Each is 1 at its pivot and 0 at
-    every other pivot, and the pivots increase, so their right halves,
-    shifted left by ambient, are already the canonical basis of A cap B.
-    """
-    a._check(b)
-    amb = a.ambient_dim
-    rows: list[Row] = []
-    for vec in a.basis:
-        row = dict(vec)
-        row.update((i + amb, s) for i, s in vec.items())
-        rows.append(row)
-    rows.extend(dict(vec) for vec in b.basis)  # copies: _rref reduces them in place
-    reduced, pivots = _rref(rows, 2 * amb)
-    k = sum(p < amb for p in pivots)
-    basis = tuple({c - amb: s for c, s in row.items()} for row in reduced[k:])
-    return Subspace(amb, a.order, basis, tuple(p - amb for p in pivots[k:]))

@@ -2,11 +2,11 @@
 
 Omega_m^N, the allowed m-chains whose boundary powers d^1 .. d^(N-1)
 stay allowed, is built level by level from d = d^1 alone (see
-``omega_full`` for the recursion and its proof).  d^1 has two forms
-here: the rational 0/1 non-allowed rows of ``_ordinary_rows``, which
-give level 1 for every N, and the N-free face table of
-``boundary.faces``, applied over Z[zeta_N] by ``apply_regular_power``,
-which gives every higher level and every image.
+``omega_full`` for the recursion and its proof).  d^1 has one form
+here, the N-free face table of ``boundary.faces``.  Its non-allowed rows
+give level 1 for every N as rational 0/1 rows (``_ordinary_rows``), and
+applied over Z[zeta_N] by ``apply_regular_power`` it gives every higher
+level and every image.
 
 Level 1 is the ordinary Omega of path homology (Grigor'yan, Lin,
 Muranov and Yau, arXiv:1207.2834), the same for every N, because every
@@ -27,9 +27,9 @@ A space spanned by rational vectors has the same reduced row echelon
 basis over Q and over Q(zeta_N), so the basis stays canonical.  Every
 basis is a ``linalg.Subspace`` of sparse rows, the form the eliminations
 and ``apply_regular_power`` work in, so no level converts its rows.
-The 0/1 fact is checked where each row is built: a non-allowed end face,
-or a non-allowed face reached by deleting two different positions,
-raises ``InvariantViolation``.
+The 0/1 fact is checked where each row is read off the face table: a
+non-allowed end face, or a non-allowed face reached by deleting two
+different positions, raises ``InvariantViolation``.
 
 A level j >= 2 needs d^j of the level-(j-1) basis, and on Omega_m^N
 every d^r x with r <= N-1 is allowed (see ``homology.betti``), so d^r x
@@ -55,9 +55,11 @@ Once the squared product of the primes exceeds
 (prod of those s_i)^phi(N), M = 0 and the rank is r (details in
 ``linalg``).  No rank of the Betti path is eliminated over Q(zeta_N).
 
-Boundary powers d^q with q > 1 are assembled only for the single-level
-spaces of ``omega_nq`` and for the regular-span check
-``boundary.verify_nilpotency``; ``omega_nq`` with q = 1 is level 1.
+Boundary-power matrices (``boundary.boundary_power_matrix``) are
+assembled only for the single-level spaces of ``omega_nq`` with q >= 2
+and for the regular-span check ``boundary.verify_nilpotency``: there the
+intermediate images d^s x leave the allowed span, and ``faces`` has
+columns only for allowed paths.  ``omega_nq`` with q = 1 is level 1.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .boundary import boundary_power_matrix, faces
-from .complexes import Path, PathComplex
+from .complexes import PathComplex
 from .cyclotomic import Scalar, euler_phi, rotate
 from .linalg import (InvariantViolation, IntRow, Matrix, Row, Subspace, _sub_scaled,
                      certified_rank, nullspace)
@@ -116,26 +118,25 @@ def omega_nq(P: PathComplex, n: int, q: int, N: int) -> OmegaSpace:
 def _ordinary_rows(P: PathComplex, m: int) -> list[list[int]]:
     """The 0/1 non-allowed rows of d^1 on the allowed m-paths, m >= 2, as column lists.
 
-    Raises ``InvariantViolation`` where a row would not be a unit times a
-    0/1 row (see the module docstring).
+    Read off the (row, j) pairs of ``boundary.faces``.  Raises
+    ``InvariantViolation`` where a row would not be a unit times a 0/1 row
+    (see the module docstring).
     """
-    lower = P.allowed_set(m - 1)
-    position: dict[Path, int] = {}
-    rows: dict[Path, list[int]] = {}
-    for c, p in enumerate(P.paths(m)):
-        if p[1:] not in lower or p[:-1] not in lower:
-            raise InvariantViolation(f"an end face of the allowed path {p} is not allowed")
-        for j in range(1, m):
-            if p[j - 1] == p[j + 1]:
-                continue  # irregular face, dropped by the regular boundary
-            f = p[:j] + p[j + 1:]
-            if f in lower:
+    table = faces(P, m)
+    position: dict[int, int] = {}
+    rows: dict[int, list[int]] = {}
+    for c, col in enumerate(table.columns):
+        for r, j in col:
+            if r < table.allowed_rows:
                 continue
-            if position.setdefault(f, j) != j:
+            if j in (0, m):
                 raise InvariantViolation(
-                    f"non-allowed face {f} is reached by deleting positions "
-                    f"{position[f]} and {j}, so its row is not a unit times a 0/1 row")
-            rows.setdefault(f, []).append(c)
+                    f"an end face of the allowed path {P.paths(m)[c]} is not allowed")
+            if position.setdefault(r, j) != j:
+                raise InvariantViolation(
+                    f"non-allowed face {table.row_paths[r]} is reached by deleting positions "
+                    f"{position[r]} and {j}, so its row is not a unit times a 0/1 row")
+            rows.setdefault(r, []).append(c)
     return list(rows.values())
 
 

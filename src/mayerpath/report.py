@@ -16,6 +16,9 @@ from .fixtures import load_fixture
 from .homology import betti_table, brute_force_oracle
 from .linalg import InvariantViolation
 
+# The published tables run up to dimension 3.
+MAX_DIM = 3
+
 
 @dataclass
 class Cell:
@@ -108,15 +111,15 @@ class CompatReport:
         }
 
 
-def run_compat_report(max_dim: int = 3) -> CompatReport:
+def run_compat_report() -> CompatReport:
     cells = _cells()
     tables: dict[tuple[str, int], tuple] = {}
     for c in cells:
         key = (c.fixture, c.order)
         if key not in tables:
             P = load_fixture(c.fixture)
-            main = betti_table(P, c.order, max_dim)
-            check = brute_force_oracle(P, c.order, max_dim)
+            main = betti_table(P, c.order, MAX_DIM)
+            check = brute_force_oracle(P, c.order, MAX_DIM)
             if main != check:
                 raise InvariantViolation(
                     f"engines disagree on {c.fixture} at N={c.order}: "

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .complexes import Path, PathComplex
 from .cyclotomic import Scalar, zeta_power
-from .linalg import InvariantViolation, Matrix, Subspace, intersect, nullspace
+from .linalg import InvariantViolation, Matrix, Subspace, nullspace
 from .omega import _ordinary_rows, omega_full, omega_nq
 
 
@@ -51,7 +51,7 @@ GAMMA_PATTERNS: dict[int, tuple[FaceType, FaceType, FaceType, FaceType]] = {
 _PATTERN_TO_GAMMA = {v: k for k, v in GAMMA_PATTERNS.items()}
 
 
-def face_type(P: PathComplex, f: Path, shortcut: tuple[int, int] | None = None) -> FaceType:
+def face_type(P: PathComplex, f: Path) -> FaceType:
     """Classify a 2-path face by its endpoints' connectivity.
 
     Priority: non-allowed beats everything; then a shortcut edge (T),
@@ -60,11 +60,9 @@ def face_type(P: PathComplex, f: Path, shortcut: tuple[int, int] | None = None) 
     if len(f) != 3:
         raise ValueError("face classification applies to 2-paths")
     a, mid, c = f
-    if shortcut is None:
-        shortcut = (a, c)
     if not P.is_allowed(f):
         return FaceType.NW
-    if P.has_edge(*shortcut):
+    if P.has_edge(a, c):
         return FaceType.T
     if any(alt != mid for alt in _middles(P).get((a, c), ())):
         return FaceType.S
@@ -79,6 +77,12 @@ def _middles(P: PathComplex) -> dict[tuple[int, int], list[int]]:
         for a, mid, c in P.paths(2):
             index.setdefault((a, c), []).append(mid)
     return index
+
+
+def _bridged(P: PathComplex) -> dict[tuple[int, int], list[int]]:
+    """The middles of the distinct non-adjacent pairs a 2-path bridges, ascending."""
+    return {(a, c): mids for (a, c), mids in _middles(P).items()
+            if a != c and not P.has_edge(a, c)}
 
 
 def image_type(P: PathComplex, v: Path) -> tuple[FaceType, FaceType, FaceType, FaceType]:
@@ -126,19 +130,16 @@ def omega2_decompose(P: PathComplex, N: int) -> list[Omega2Generator]:
     """
     one = Scalar.one(N)
     gens: list[Omega2Generator] = []
-    by_endpoints: dict[tuple[int, int], list[Path]] = {}
     for p in P.paths(2):
-        i, j, k = p
+        i, _, k = p
         if i == k:
             gens.append(Omega2Generator("double_edge", (p,), {p: one}))
         elif P.has_edge(i, k):
             gens.append(Omega2Generator("triangle", (p,), {p: one}))
-        else:
-            by_endpoints.setdefault((i, k), []).append(p)
-    for (i, k), middles in sorted(by_endpoints.items()):
-        middles.sort()
-        anchor = middles[0]
-        for other in middles[1:]:
+    for (i, k), middles in sorted(_bridged(P).items()):
+        anchor = (i, middles[0], k)
+        for j in middles[1:]:
+            other = (i, j, k)
             gens.append(Omega2Generator("square", (anchor, other),
                                         {anchor: one, other: -one}))
 
@@ -275,8 +276,7 @@ def _chain_shape(P: PathComplex, comps: list[Path], labels) -> str | None:
     return "-".join(f"g{l}" for l in seq)
 
 
-def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
-                     circuit_bound: int = 8) -> ClusterSearch:
+def minimal_clusters(P: PathComplex, N: int, circuit_bound: int = 8) -> ClusterSearch:
     """Minimal-support invariant elements of the level-(N,1) space in dim 3.
 
     Elements split by endpoint pair; within one cluster the minimal
@@ -289,8 +289,6 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
     canonical kernel vectors, whose rational coefficients are embedded in
     Q(zeta_N) at the end.
     """
-    if dim != 3:
-        raise ValueError("cluster classification is implemented for dimension 3")
     if circuit_bound < 1:
         raise ValueError("circuit_bound must be >= 1")
     paths = P.paths(3)
@@ -356,20 +354,25 @@ def minimal_clusters(P: PathComplex, N: int, dim: int = 3,
 
 def special_edges(P: PathComplex) -> dict[str, list[tuple[int, int]]]:
     """Non-adjacent pairs bridged by 2-paths: >= 2 middles vs exactly one."""
-    middles: dict[tuple[int, int], set[int]] = {}
-    for p in P.paths(2):
-        i, j, k = p
-        if i != k and not P.has_edge(i, k):
-            middles.setdefault((i, k), set()).add(j)
+    middles = _bridged(P)
     connecting = sorted(pair for pair, ms in middles.items() if len(ms) >= 2)
     complementary = sorted(pair for pair, ms in middles.items() if len(ms) == 1)
     return {"connecting": connecting, "complementary": complementary}
 
 
 def omega3_intersection_check(P: PathComplex, N: int) -> bool:
-    """Is the full dim-3 invariant space cut out by levels q=1 and q=2 alone?"""
+    """Is the full dim-3 invariant space cut out by levels q=1 and q=2 alone?
+
+    For N >= 3, full = A cap B (A, B the levels q = 1, 2) exactly when
+    every row of full lies in A and in B, so full is inside A cap B, and
+    dim full = dim A + dim B - dim(A + B) = dim(A cap B).
+    """
     full = omega_full(P, 3, N).space
     first = omega_nq(P, 3, 1, N).space
     if N == 2:
         return full == first
-    return full == intersect(first, omega_nq(P, 3, 2, N).space)
+    second = omega_nq(P, 3, 2, N).space
+    if not all(first.contains(x) and second.contains(x) for x in full.basis):
+        return False
+    both = Subspace.from_spanning(first.basis + second.basis, full.ambient_dim, N)
+    return full.dim == first.dim + second.dim - both.dim

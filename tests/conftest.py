@@ -8,6 +8,7 @@ import pytest
 import mayerpath
 from mayerpath import linalg
 from mayerpath.complexes import Digraph, path_complex_from_digraph
+from mayerpath.cycles import Step, UndirectedCycle
 from mayerpath.fixtures import load_digraph, load_fixture
 
 
@@ -49,6 +50,19 @@ def random_digraph(rng: random.Random, n_min=3, n_max=6, p=0.35,
                 edges.append((u, v))
                 present.add((u, v))
     return Digraph(labels, tuple(edges))
+
+
+def cycle_through(verts, edge_set) -> UndirectedCycle:
+    """The cycle visiting verts in order and back to the first, each step along an edge of edge_set."""
+    steps = []
+    for u, v in zip(verts, verts[1:] + verts[:1]):
+        if (u, v) in edge_set:
+            steps.append(Step(u, v, (u, v), True))
+        elif (v, u) in edge_set:
+            steps.append(Step(u, v, (v, u), False))
+        else:
+            raise ValueError(f"no digraph edge between {u} and {v}")
+    return UndirectedCycle(tuple(steps))
 
 
 def bounded_random_complex(rng, N, max_dim, budget=400, **kw):

@@ -11,10 +11,10 @@ import subprocess
 import sys
 import time
 
-from conftest import bounded_random_complex, library_env
+from conftest import bounded_random_complex, cycle_through, library_env
 from mayerpath.boundary import kapranov_expansion_check
 from mayerpath.complexes import path_complex_from_digraph
-from mayerpath.cycles import UndirectedCycle, is_admissible, z1_generators, z1_kernel_space
+from mayerpath.cycles import is_admissible, z1_generators, z1_kernel_space
 from mayerpath.cyclotomic import Scalar
 from mayerpath.fixtures import (
     ALL_FIXTURES,
@@ -233,8 +233,7 @@ def test_criterion_08_admissibility_separations():
     for name, expected in (("loop4", False), ("biparallel", True), ("bifan", True)):
         g = load_digraph(name)
         li = {v: i for i, v in enumerate(g.labels)}
-        cyc = UndirectedCycle.from_vertices(
-            [li["1"], li["2"], li["3"], li["4"]], g.edge_set)
+        cyc = cycle_through([li["1"], li["2"], li["3"], li["4"]], g.edge_set)
         assert is_admissible(cyc, 3) is expected, name
         assert is_admissible(cyc, 2)
     _announce(8)

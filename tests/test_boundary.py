@@ -5,7 +5,6 @@ import pytest
 from mayerpath.boundary import (
     boundary_power_matrix,
     kapranov_expansion_check,
-    nonregular_boundary_chain,
     nonregular_power,
     verify_nilpotency,
 )
@@ -134,7 +133,7 @@ def test_free_module_nth_power_vanishes():
 
 
 def test_nonregular_boundary_keeps_irregular_faces():
-    ch = nonregular_boundary_chain((0, 1, 0), 3)
+    ch = nonregular_power((0, 1, 0), 1, 3)
     assert ch == {
         (1, 0): zeta_power(3, 0),
         (0, 0): zeta_power(3, 1),

@@ -163,6 +163,18 @@ def test_bad_json_input_exits_one(capsys, tmp_path, text, message):
     assert err.startswith("error:") and message in err
 
 
+def test_simplicial_kind_on_an_edges_file_names_the_missing_key(tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text('{"edges": [["a", "b"]]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "mayerpath.cli", "betti", "--kind", "simplicial",
+         "--input", str(path), "--N", "2"],
+        capture_output=True, text=True, env=library_env())
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {path}: --kind simplicial needs a 'simplices' key\n"
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["betti", "report"])
 def test_unwritable_out_exits_one_without_traceback(fixture_file, tmp_path, command):
     target = tmp_path / "missing" / "x.md"

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from mayerpath.complexes import parse_digraph
+from conftest import cycle_through, random_digraph
+from mayerpath.boundary import boundary_power_matrix
+from mayerpath.complexes import parse_digraph, path_complex_from_digraph
 from mayerpath.cycles import (
     NotAdmissible,
     NotApplicable,
-    UndirectedCycle,
     admissible_weights,
     fundamental_cycles,
     is_admissible,
@@ -17,13 +18,14 @@ from mayerpath.cycles import (
 )
 from mayerpath.cyclotomic import Scalar, unit_exponent, zeta_power
 from mayerpath.fixtures import DIGRAPH_FIXTURES, load_digraph
+from mayerpath.linalg import Matrix, nullspace
 
 
 def square_cycle(name):
     g = load_digraph(name)
     li = {v: i for i, v in enumerate(g.labels)}
     verts = [li["1"], li["2"], li["3"], li["4"]]
-    return g, UndirectedCycle.from_vertices(verts, g.edge_set)
+    return g, cycle_through(verts, g.edge_set)
 
 
 def chain_vector(g, chain, N):
@@ -36,11 +38,11 @@ def test_orientation_profiles():
     p = orientation_profile(sq2)
     assert (p.n, p.u1, p.u2) == (4, 2, 2)
     tri = parse_digraph("1 2\n2 3\n3 1")
-    c = UndirectedCycle.from_vertices([0, 1, 2], tri.edge_set)
+    c = cycle_through([0, 1, 2], tri.edge_set)
     p = orientation_profile(c)
     assert (p.n, p.u1, p.u2) == (3, 0, 3)
     anti = parse_digraph("1 2\n2 1")
-    c2 = UndirectedCycle.from_vertices([0, 1], anti.edge_set)
+    c2 = cycle_through([0, 1], anti.edge_set)
     p = orientation_profile(c2)
     assert (p.n, p.u1, p.u2) == (2, 0, 2)
 
@@ -60,13 +62,31 @@ def test_loop4_profile():
 
 def test_two_step_cycle_admissible_only_at_order_two():
     anti = parse_digraph("1 2\n2 1")
-    c = UndirectedCycle.from_vertices([0, 1], anti.edge_set)
+    c = cycle_through([0, 1], anti.edge_set)
     assert is_admissible(c, 2)
     for N in (3, 4, 5):
         assert not is_admissible(c, N)
     # matches the direct kernel computation
     assert z1_kernel_space(anti, 2)[0].dim == 1
     assert z1_kernel_space(anti, 3)[0].dim == 0
+
+
+def test_kernel_space_is_the_nullspace_of_the_assembled_edge_boundary():
+    """The closed-form kernel equals the one solved from d^1 of the path complex, row for row."""
+    rng = random.Random(2024)
+    graphs = [load_digraph(name) for name in DIGRAPH_FIXTURES]
+    graphs += [random_digraph(rng, allow_antiparallel=True, p=0.4) for _ in range(12)]
+    assert sum(any((v, u) in g.edge_set for u, v in g.edges) for g in graphs) >= 5
+    for g in graphs:
+        P = path_complex_from_digraph(g, 1)
+        for N in (2, 3, 4, 5):
+            bm = boundary_power_matrix(P, 1, 1, N)
+            reference = nullspace(Matrix(len(bm.row_paths), len(bm.col_paths), N, bm.entries))
+            kernel, edges = z1_kernel_space(g, N)
+            assert edges == bm.col_paths
+            assert [list(row.items()) for row in kernel.basis] == \
+                [list(row.items()) for row in reference.basis], (g.edges, N)
+            assert kernel.pivot_cols == reference.pivot_cols
 
 
 def test_admissible_weights_biparallel_span():
@@ -101,7 +121,7 @@ def test_admissible_weights_bifan_span():
 
 def test_admissible_weights_hexagon():
     g = parse_digraph("1 2\n2 3\n3 4\n4 5\n5 6\n6 1")
-    cyc = UndirectedCycle.from_vertices(list(range(6)), g.edge_set)
+    cyc = cycle_through(list(range(6)), g.edge_set)
     assert is_admissible(cyc, 3)
     w = admissible_weights(cyc, 3)
     kernel, vec = chain_vector(g, w, 3)
@@ -179,8 +199,6 @@ def test_z1_generators_order_two_is_circuit_rank():
 
 
 def test_z1_random_sweep():
-    from conftest import random_digraph
-
     rng = random.Random(808)
     xi_checked = 0
     for _ in range(200):
@@ -228,8 +246,6 @@ def _component_count(g):
 
 
 def test_fundamental_cycle_count_matches_circuit_rank():
-    from conftest import random_digraph
-
     rng = random.Random(4242)
     for _ in range(50):
         g = random_digraph(rng, allow_antiparallel=True, p=0.4)

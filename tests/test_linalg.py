@@ -13,7 +13,6 @@ from mayerpath.linalg import (
     AmbientMismatch,
     Matrix,
     Subspace,
-    intersect,
     nullspace,
     certified_rank,
     rank_mod,
@@ -264,64 +263,16 @@ def test_from_spanning_equals_the_dense_reference_rref():
         assert all(seen.values()), (N, seen)
 
 
-def _is_canonical(space):
-    """The basis rows are sparse RREF rows: ascending keys, leading 1, clear pivot columns."""
-    pivots = space.pivot_cols
-    one = Scalar.one(space.order)
-    if len(pivots) != space.dim or any(a >= b for a, b in zip(pivots, pivots[1:])):
-        return False
-    for row, p in zip(space.basis, pivots):
-        keys = list(row)
-        if keys != sorted(keys) or keys[0] != p or row[p] != one or not all(row.values()):
-            return False
-        if set(pivots).intersection(keys[1:]) or keys[-1] >= space.ambient_dim:
-            return False
-    return True
-
-
-def test_intersect_is_canonical_and_equals_the_span_of_its_basis():
-    """On seeded pairs, some sharing vectors, intersect returns the canonical sparse basis."""
-    rng = random.Random(77)
-    seen = {"zero": 0, "proper": 0, "equal": 0}
-    for N in (2, 3, 4, 5):
-        for _ in range(15):
-            ambient = rng.randint(2, 6)
-            shared = _random_vectors(rng, N, ambient, rng.randint(0, 2))
-            a, b = (Subspace.from_spanning(
-                map(sparse, shared + _random_vectors(rng, N, ambient, rng.randint(0, 3))),
-                ambient, N) for _ in range(2))
-            meet = intersect(a, b)
-            assert _is_canonical(meet), (N, meet.basis)
-            again = Subspace.from_spanning(meet.basis, ambient, N)
-            assert [list(row.items()) for row in meet.basis] == \
-                [list(row.items()) for row in again.basis]
-            assert meet.pivot_cols == again.pivot_cols
-            assert all(a.contains(row) and b.contains(row) for row in meet.basis)
-            if meet.dim == 0:
-                seen["zero"] += 1
-            else:
-                seen["equal" if meet == a == b else "proper"] += 1
-    assert all(seen.values()), seen
-
-
 def test_eliminations_leave_their_inputs_unchanged():
-    """from_spanning, intersect and nullspace only read their arguments."""
+    """from_spanning and nullspace only read their arguments."""
     rng = random.Random(13)
     for N in (2, 3, 5):
         for _ in range(10):
             ambient = rng.randint(2, 6)
             vectors = [sparse(v) for v in _random_vectors(rng, N, ambient, rng.randint(1, 4))]
             snapshot = [list(v.items()) for v in vectors]
-            a = Subspace.from_spanning(vectors, ambient, N)
+            Subspace.from_spanning(vectors, ambient, N)
             assert [list(v.items()) for v in vectors] == snapshot
-            b = Subspace.from_spanning(map(sparse, _random_vectors(rng, N, ambient, 3)),
-                                       ambient, N)
-            before = [([list(row.items()) for row in s.basis], s.pivot_cols, hash(s))
-                      for s in (a, b)]
-            intersect(a, b)
-            intersect(b, a)
-            assert [([list(row.items()) for row in s.basis], s.pivot_cols, hash(s))
-                    for s in (a, b)] == before
             m = _random_matrix(rng, N, rng.randint(1, 6), ambient, rng.randint(1, 3))
             entries = dict(m.entries)
             nullspace(m)
@@ -470,28 +421,6 @@ def test_subspace_canonical_under_shuffle_and_recombination():
         assert hash(s1) == hash(s2)
 
 
-def test_intersect_examples():
-    N = 3
-    one, z = Scalar.one(N), Scalar.zero(N)
-    a = Subspace.from_spanning([sparse((one, z))], 2, N)
-    b = Subspace.from_spanning([sparse((z, one))], 2, N)
-    assert intersect(a, b).dim == 0
-    assert intersect(a, a) == a
-
-
-def test_intersect_properties_random():
-    rng = random.Random(99)
-    N = 3
-    for _ in range(20):
-        ambient = rng.randint(2, 5)
-        a, b, c = (Subspace.from_spanning(map(sparse, _random_vectors(rng, N, ambient, 2)),
-                                          ambient, N) for _ in range(3))
-        assert intersect(a, b) == intersect(b, a)
-        assert intersect(a, intersect(b, c)) == intersect(intersect(a, b), c)
-        assert intersect(a, a) == a
-        assert intersect(a, b).dim <= min(a.dim, b.dim)
-
-
 def test_in_span():
     N = 3
     one, z = Scalar.one(N), Scalar.zero(N)
@@ -499,14 +428,6 @@ def test_in_span():
     assert s.contains(sparse((z, z, z)))
     assert s.contains(s.basis[0])
     assert not s.contains(sparse((one, z, z)))
-
-
-def test_ambient_mismatch():
-    N = 3
-    a = Subspace.full_space(2, N)
-    b = Subspace.full_space(3, N)
-    with pytest.raises(AmbientMismatch):
-        intersect(a, b)
 
 
 def test_a_column_outside_the_ambient_space_is_refused():

@@ -7,8 +7,9 @@ from mayerpath.boundary import boundary_power_matrix
 from mayerpath.complexes import parse_digraph, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.fixtures import DIGRAPH_FIXTURES, fixture_text, load_fixture
-from mayerpath.linalg import Matrix, nullspace
-from mayerpath.omega import omega_full, omega_nq
+from mayerpath import structure
+from mayerpath.linalg import Matrix, Subspace, nullspace
+from mayerpath.omega import OmegaSpace, omega_full, omega_nq
 from mayerpath.structure import (
     FaceType,
     GAMMA_PATTERNS,
@@ -325,6 +326,29 @@ def test_intersection_identity_for_dim_three():
         P = load_fixture(name)
         for N in (2, 3, 4):
             assert omega3_intersection_check(P, N), (name, N)
+
+
+def test_intersection_check_refuses_a_larger_a_smaller_and_a_moved_space(monkeypatch):
+    """Each half of the check decides a case alone.
+
+    A row outside level 1 fails containment, even at the right dimension
+    (the moved space); a space one row short fails the dimension count.
+    """
+    P = load_fixture("trapezohedron_m2")
+    N = 3
+    full = omega_full(P, 3, N).space
+    assert omega3_intersection_check(P, N)
+    first, one = omega_nq(P, 3, 1, N).space, Scalar.one(N)
+    outside = next({c: one} for c in range(full.ambient_dim) if not first.contains({c: one}))
+    assert full.dim > 0
+    larger = Subspace.from_spanning(full.basis + (outside,), full.ambient_dim, N)
+    smaller = Subspace.from_spanning(full.basis[1:], full.ambient_dim, N)
+    moved = Subspace.from_spanning(full.basis[1:] + (outside,), full.ambient_dim, N)
+    assert (larger.dim, smaller.dim, moved.dim) == (full.dim + 1, full.dim - 1, full.dim)
+    for space in (larger, smaller, moved):
+        monkeypatch.setattr(structure, "omega_full",
+                            lambda P, n, N, space=space: OmegaSpace(n, N, None, space))
+        assert not omega3_intersection_check(P, N), space
 
 
 def test_braid_excluded_from_higher_level(diamond):
