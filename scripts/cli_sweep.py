@@ -34,6 +34,7 @@ WRITTEN = {"digon": "1 2\n2 1\n", "digon_tail": "1 2\n2 1\n2 3\n"}
 COMMANDS = (
     ("betti", "--format", "json"), ("betti", "--format", "md"), ("betti", "--format", "csv"),
     ("omega", "--show-basis", "--format", "md"), ("omega", "--show-basis", "--format", "json"),
+    ("omega", "--q", "2", "--show-basis", "--format", "json"),
     ("classify",), ("cycles",),
     ("check", "--format", "md"), ("check", "--format", "json"),
 )

@@ -3,10 +3,14 @@
 Omega_m^N, the allowed m-chains whose boundary powers d^1 .. d^(N-1)
 stay allowed, is built level by level from d = d^1 alone (see
 ``omega_full`` for the recursion and its proof).  d^1 has one form
-here, the N-free face table of ``boundary.faces``.  Its non-allowed rows
-give level 1 for every N as rational 0/1 rows (``_ordinary_rows``), and
-applied over Z[zeta_N] by ``apply_regular_power`` it gives every higher
-level and every image.
+here, the N-free face rule ``boundary.regular_faces``.  Its non-allowed
+faces give level 1 for every N as rational 0/1 rows (``_ordinary_rows``),
+and its table ``boundary.faces``, applied over Z[zeta_N] by
+``apply_regular_power``, gives every higher level and every image.
+Level 1 scans the faces itself rather than read them off the table:
+``faces`` pays for a row index and for the rows of the allowed faces,
+which level 1 never reads, and at the top dimensions, where Omega is
+often 0, nothing else needs the table.
 
 Level 1 is the ordinary Omega of path homology (Grigor'yan, Lin,
 Muranov and Yau, arXiv:1207.2834), the same for every N, because every
@@ -27,9 +31,9 @@ A space spanned by rational vectors has the same reduced row echelon
 basis over Q and over Q(zeta_N), so the basis stays canonical.  Every
 basis is a ``linalg.Subspace`` of sparse rows, the form the eliminations
 and ``apply_regular_power`` work in, so no level converts its rows.
-The 0/1 fact is checked where each row is read off the face table: a
-non-allowed end face, or a non-allowed face reached by deleting two
-different positions, raises ``InvariantViolation``.
+The 0/1 fact is checked where each row is built: a non-allowed end
+face, or a non-allowed face reached by deleting two different
+positions, raises ``InvariantViolation``.
 
 A level j >= 2 needs d^j of the level-(j-1) basis, and on Omega_m^N
 every d^r x with r <= N-1 is allowed (see ``homology.betti``), so d^r x
@@ -55,11 +59,10 @@ Once the squared product of the primes exceeds
 (prod of those s_i)^phi(N), M = 0 and the rank is r (details in
 ``linalg``).  No rank of the Betti path is eliminated over Q(zeta_N).
 
-Boundary-power matrices (``boundary.boundary_power_matrix``) are
-assembled only for the single-level spaces of ``omega_nq`` with q >= 2
-and for the regular-span check ``boundary.verify_nilpotency``: there the
-intermediate images d^s x leave the allowed span, and ``faces`` has
-columns only for allowed paths.  ``omega_nq`` with q = 1 is level 1.
+``omega_nq`` with q = 1 is level 1.  With q >= 2 its intermediate images
+d^s x leave the allowed span, and ``faces`` has columns only for allowed
+paths, so it takes d^q of each allowed path through the full regular
+span (``boundary.regular_power``) and solves the non-allowed rows.
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .boundary import boundary_power_matrix, faces
-from .complexes import PathComplex
+from .boundary import faces, regular_faces, regular_power
+from .complexes import Path, PathComplex
 from .cyclotomic import Scalar, euler_phi, rotate
 from .linalg import (InvariantViolation, IntRow, Matrix, Row, Subspace, _sub_scaled,
                      certified_rank, nullspace)
@@ -89,9 +92,13 @@ def omega_nq(P: PathComplex, n: int, q: int, N: int) -> OmegaSpace:
 
     For q = 1 this is level 1 of ``omega_full``'s recursion, the ordinary
     Omega solved over Q.  For q >= 2 it is the nullspace of the
-    non-allowed row block of the q-th boundary power matrix.  For q >= n
-    the image lives in dimension <= 0 where every regular path is
-    allowed, so the space is all of the allowed span.
+    non-allowed rows of d^q, taken path by path through the full regular
+    span (``boundary.regular_power``); no row reached means the full
+    space.  Row order cannot change the canonical kernel basis, only the
+    work of the elimination; rows sorted by path take fewer products than
+    rows in order of first reach on the test corpus.
+    For q >= n the image lives in dimension <= 0 where every regular path
+    is allowed, so the space is all of the allowed span.
     """
     if N < 2 or not 1 <= q <= N - 1:
         raise ValueError("need N >= 2 and 1 <= q <= N-1")
@@ -105,11 +112,18 @@ def omega_nq(P: PathComplex, n: int, q: int, N: int) -> OmegaSpace:
     elif q >= n:
         space = Subspace.full_space(ambient, N)
     else:
-        block = boundary_power_matrix(P, n, q, N).nonallowed_block()
-        if block.rows == 0:
-            space = Subspace.full_space(ambient, N)
-        else:
-            space = nullspace(block)
+        allowed = P.allowed_set(n - q)
+        scalars: dict[tuple[int, ...], Scalar] = {}
+        rows: dict[Path, Row] = {}
+        for c, p in enumerate(P.paths(n)):
+            for f, t in regular_power(p, q, N).items():
+                if f not in allowed:
+                    v = scalars.get(t)
+                    if v is None:
+                        v = scalars[t] = Scalar(N, tuple(Fraction(a) for a in t))
+                    rows.setdefault(f, {})[c] = v
+        space = (nullspace(Matrix.from_row_dicts([rows[f] for f in sorted(rows)], ambient, N))
+                 if rows else Subspace.full_space(ambient, N))
     result = OmegaSpace(n, N, q, space)
     P._memo[key] = result
     return result
@@ -118,25 +132,25 @@ def omega_nq(P: PathComplex, n: int, q: int, N: int) -> OmegaSpace:
 def _ordinary_rows(P: PathComplex, m: int) -> list[list[int]]:
     """The 0/1 non-allowed rows of d^1 on the allowed m-paths, m >= 2, as column lists.
 
-    Read off the (row, j) pairs of ``boundary.faces``.  Raises
+    Scans the ``boundary.regular_faces`` of each path against the allowed
+    (m-1)-paths, so rows come in order of first reach.  Raises
     ``InvariantViolation`` where a row would not be a unit times a 0/1 row
     (see the module docstring).
     """
-    table = faces(P, m)
-    position: dict[int, int] = {}
-    rows: dict[int, list[int]] = {}
-    for c, col in enumerate(table.columns):
-        for r, j in col:
-            if r < table.allowed_rows:
+    lower = P.allowed_set(m - 1)
+    position: dict[Path, int] = {}
+    rows: dict[Path, list[int]] = {}
+    for c, p in enumerate(P.paths(m)):
+        for f, j in regular_faces(p):
+            if f in lower:
                 continue
             if j in (0, m):
+                raise InvariantViolation(f"an end face of the allowed path {p} is not allowed")
+            if position.setdefault(f, j) != j:
                 raise InvariantViolation(
-                    f"an end face of the allowed path {P.paths(m)[c]} is not allowed")
-            if position.setdefault(r, j) != j:
-                raise InvariantViolation(
-                    f"non-allowed face {table.row_paths[r]} is reached by deleting positions "
-                    f"{position[r]} and {j}, so its row is not a unit times a 0/1 row")
-            rows.setdefault(r, []).append(c)
+                    f"non-allowed face {f} is reached by deleting positions "
+                    f"{position[f]} and {j}, so its row is not a unit times a 0/1 row")
+            rows.setdefault(f, []).append(c)
     return list(rows.values())
 
 

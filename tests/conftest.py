@@ -1,5 +1,7 @@
 import os
 import random
+import weakref
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import mayerpath
 from mayerpath import linalg
 from mayerpath.complexes import Digraph, path_complex_from_digraph
 from mayerpath.cycles import Step, UndirectedCycle
+from mayerpath.cyclotomic import Scalar
 from mayerpath.fixtures import load_digraph, load_fixture
 
 
@@ -99,3 +102,65 @@ def least_modulus(N, index):
     """``linalg._modulus`` from the least prime = 1 (mod N) on: 3, 7, 5, 11, 7 for N = 2..6."""
     floor = 1 if index == 0 else least_modulus(N, index - 1)[0]
     return linalg._prime_root(N, floor)
+
+
+def regular_boundary(chain, N):
+    """One regular boundary step on {path: coefficient} chains over any regular paths."""
+    out = {}
+    for p, c in chain.items():
+        for j in range(len(p) if len(p) > 1 else 0):
+            f = p[:j] + p[j + 1:]
+            if all(a != b for a, b in zip(f, f[1:])):
+                term = c.times_unit(j)
+                out[f] = term if f not in out else out[f] + term
+    return {f: v for f, v in out.items() if v}
+
+
+@dataclass
+class BoundaryReference:
+    """Reference matrix of the q-th regular boundary power on the allowed n-path basis.
+
+    Columns follow the lexicographic allowed basis in dimension n.  Rows
+    cover dimension n-q: first every allowed (n-q)-path, then the
+    non-allowed regular paths reached, both lexicographically.  Each
+    column is q ``regular_boundary`` steps of its path in Q(zeta_N), so
+    the reference shares no code with the engine's boundary.
+    """
+
+    n: int
+    q: int
+    order: int
+    col_paths: tuple
+    row_paths: tuple
+    allowed_rows: int
+    entries: dict
+
+    def nonallowed_block(self) -> linalg.Matrix:
+        entries = {(r - self.allowed_rows, c): v for (r, c), v in self.entries.items()
+                   if r >= self.allowed_rows}
+        return linalg.Matrix(len(self.row_paths) - self.allowed_rows, len(self.col_paths),
+                             self.order, entries)
+
+
+_power_chains: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _powers(P, n, q, N) -> list:
+    """q ``regular_boundary`` steps of each allowed n-path, made once per (P, n, q, N)."""
+    made = _power_chains.setdefault(P, {})
+    key = (n, q, N)
+    if key not in made:
+        made[key] = ([{p: Scalar.one(N)} for p in P.paths(n)] if q == 0 else
+                     [regular_boundary(chain, N) for chain in _powers(P, n, q - 1, N)])
+    return made[key]
+
+
+def boundary_reference(P, n, q, N) -> BoundaryReference:
+    """The ``BoundaryReference`` of d^q on the allowed n-paths of P."""
+    images = _powers(P, n, q, N)
+    allowed = P.paths(n - q)
+    extras = sorted({f for chain in images for f in chain}.difference(allowed))
+    row_paths = tuple(allowed) + tuple(extras)
+    index = {f: r for r, f in enumerate(row_paths)}
+    entries = {(index[f], c): v for c, chain in enumerate(images) for f, v in chain.items()}
+    return BoundaryReference(n, q, N, P.paths(n), row_paths, len(allowed), entries)

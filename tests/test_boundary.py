@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from mayerpath.boundary import (
-    boundary_power_matrix,
     kapranov_expansion_check,
     nonregular_power,
+    regular_power,
     verify_nilpotency,
 )
 from mayerpath.complexes import parse_digraph, path_complex_from_digraph
@@ -13,20 +14,15 @@ from mayerpath.cyclotomic import Scalar, q_factorial, zeta_power
 from mayerpath.fixtures import load_fixture
 
 
-# walks 0->1->2->3 and back 1->0, so every path below is allowed
-WALKS = path_complex_from_digraph(parse_digraph("1 2\n2 3\n3 4\n2 1"), 3)
-
-
-def boundary_column(p, N):
-    """The regular boundary of one allowed path: its column of d^1."""
-    bm = boundary_power_matrix(WALKS, len(p) - 1, 1, N)
-    col = bm.col_paths.index(p)
-    return {bm.row_paths[r]: v for (r, c), v in bm.entries.items() if c == col}
+def power_chain(p, q, N):
+    """d^q of one path from ``regular_power``, with its int coefficients read in Q(zeta_N)."""
+    return {f: Scalar(N, tuple(Fraction(a) for a in t))
+            for f, t in regular_power(p, q, N).items()}
 
 
 def test_boundary_of_triangle_path():
     for N in (2, 3, 4, 7):
-        ch = boundary_column((0, 1, 2), N)
+        ch = power_chain((0, 1, 2), 1, N)
         assert ch == {
             (1, 2): zeta_power(N, 0),
             (0, 2): zeta_power(N, 1),
@@ -36,76 +32,63 @@ def test_boundary_of_triangle_path():
 
 def test_boundary_drops_irregular_faces():
     for N in (2, 3, 5):
-        ch = boundary_column((0, 1, 0), N)
+        ch = power_chain((0, 1, 0), 1, N)
         assert ch == {(1, 0): zeta_power(N, 0), (0, 1): zeta_power(N, 2)}
 
 
 def test_boundary_of_vertices_is_zero():
-    assert boundary_column((3,), 3) == {}
+    assert power_chain((3,), 1, 3) == {}
 
 
 def test_boundary_of_four_path_wraps_exponent():
-    ch = boundary_column((0, 1, 2, 3), 3)
+    ch = power_chain((0, 1, 2, 3), 1, 3)
     assert ch[(0, 1, 2)] == zeta_power(3, 3)  # == 1
     assert ch[(0, 1, 2)] == Scalar.one(3)
 
 
 def test_diamond_second_power_hits_shortcut_row(diamond):
-    bm = boundary_power_matrix(diamond, 3, 2, 3)
-    row = bm.row_paths.index((0, 3))
-    assert row >= bm.allowed_rows  # e_{1,4} is not allowed
-    val = bm.entries[(row, 0)]
+    assert not diamond.is_allowed((0, 3))  # e_{1,4} is not allowed
+    val = power_chain(diamond.paths(3)[0], 2, 3)[(0, 3)]
     assert val == zeta_power(3, 2) + zeta_power(3, 3)
     assert val == -zeta_power(3, 1)
 
 
 def test_ffl_second_power_vertex_chain():
     P = load_fixture("ffl")
-    bm = boundary_power_matrix(P, 2, 2, 3)
-    col = bm.col_paths.index((0, 1, 2))
+    assert (0, 1, 2) in P.paths(2)
     xi = zeta_power(3, 1)
     expected = {
         (0,): -xi,
         (1,): -Scalar.one(3),
         (2,): -(xi * xi),
     }
-    got = {bm.row_paths[r]: v for (r, c), v in bm.entries.items() if c == col}
-    assert got == expected
+    assert power_chain((0, 1, 2), 2, 3) == expected
 
 
 def test_power_matrix_equals_iterated_single_steps(diamond):
-    # multiply the two single-step matrices and compare with the q=2 assembly
-    m2 = boundary_power_matrix(diamond, 3, 2, 3)
-    step1 = boundary_power_matrix(diamond, 3, 1, 3)
-    step0 = boundary_power_matrix(diamond, 2, 1, 3)
-    # map step1 rows (2-paths) into step0 columns
-    col_of = {p: i for i, p in enumerate(step0.col_paths)}
-    product = {}
-    for (r1, c1), v1 in step1.entries.items():
-        mid = step1.row_paths[r1]
-        for (r0, c0), v0 in step0.entries.items():
-            if c0 == col_of[mid]:
-                key = (step0.row_paths[r0], c1)
-                product[key] = product.get(key, Scalar.zero(3)) + v0 * v1
-    product = {k: v for k, v in product.items() if v}
-    direct = {(m2.row_paths[r], c): v for (r, c), v in m2.entries.items()}
-    assert product == direct
+    # each column of d^2 against the single step applied to each face of the single step
+    for p in diamond.paths(3):
+        product = {}
+        for mid, v1 in power_chain(p, 1, 3).items():
+            for f, v0 in power_chain(mid, 1, 3).items():
+                product[f] = product.get(f, Scalar.zero(3)) + v0 * v1
+        product = {f: v for f, v in product.items() if v}
+        assert product == power_chain(p, 2, 3)
 
 
 def test_column_support_only_deletion_reachable(diamond):
-    bm = boundary_power_matrix(diamond, 3, 2, 3)
     source = diamond.paths(3)[0]
     reachable = set()
     for i, j in itertools.combinations(range(len(source)), 2):
         f = tuple(v for t, v in enumerate(source) if t not in (i, j))
         reachable.add(f)
-    for (r, c), _ in bm.entries.items():
-        assert bm.row_paths[r] in reachable
+    for p in diamond.paths(3):
+        assert set(regular_power(p, 2, 3)) <= reachable
 
 
 def test_power_beyond_dimension_is_zero_matrix(diamond):
-    bm = boundary_power_matrix(diamond, 1, 3, 3)
-    assert bm.row_paths == () and not bm.entries
+    assert diamond.paths(1)
+    assert not any(regular_power(p, 3, 3) for p in diamond.paths(1))
 
 
 def test_nilpotency_on_fixture_examples(diamond, torus):

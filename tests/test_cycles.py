@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from conftest import cycle_through, random_digraph
-from mayerpath.boundary import boundary_power_matrix
+from conftest import boundary_reference, cycle_through, random_digraph
 from mayerpath.complexes import parse_digraph, path_complex_from_digraph
 from mayerpath.cycles import (
     NotAdmissible,
@@ -80,7 +79,7 @@ def test_kernel_space_is_the_nullspace_of_the_assembled_edge_boundary():
     for g in graphs:
         P = path_complex_from_digraph(g, 1)
         for N in (2, 3, 4, 5):
-            bm = boundary_power_matrix(P, 1, 1, N)
+            bm = boundary_reference(P, 1, 1, N)
             reference = nullspace(Matrix(len(bm.row_paths), len(bm.col_paths), N, bm.entries))
             kernel, edges = z1_kernel_space(g, N)
             assert edges == bm.col_paths

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from mayerpath.boundary import boundary_power_matrix
+from conftest import boundary_reference
 from mayerpath.complexes import parse_digraph, path_complex_from_digraph
 from mayerpath.cyclotomic import Scalar, zeta_power
 from mayerpath.fixtures import DIGRAPH_FIXTURES, fixture_text, load_fixture
@@ -249,10 +249,10 @@ def _reference_clusters(P, N, circuit_bound):
     """(endpoints, components) of each minimal cluster, and the truncated pairs.
 
     The search of ``minimal_clusters`` run on the Q(zeta_N) rows of the
-    assembled d^1 matrix (its non-allowed block, entries zeta^j) instead
+    reference d^1 matrix (its non-allowed block, entries zeta^j) instead
     of the rational 0/1 rows.
     """
-    rows = boundary_power_matrix(P, 3, 1, N).nonallowed_block().row_dicts()
+    rows = boundary_reference(P, 3, 1, N).nonallowed_block().row_dicts()
     paths = P.paths(3)
     by_pair = {}
     for idx, p in enumerate(paths):
