@@ -7,6 +7,10 @@ dimension-3 clusters, and exercises the degree-1 kernel generators.
 Useful for hunting counterexamples with bigger budgets than the tests.
 A failed check prints the digraph and the failed checks to stderr and
 exits 2; the checks are explicit, so they also run under ``python -O``.
+The library is imported from the checkout's ``src/``, so the sweep runs
+from an uninstalled checkout:
+
+    python3 scripts/random_sweep.py --order 4 --count 30
 """
 
 import argparse
@@ -14,6 +18,9 @@ import collections
 import random
 import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mayerpath.complexes import Digraph, path_complex_from_digraph
 from mayerpath.cycles import z1_generators

@@ -60,13 +60,13 @@ def regular_faces(p: Path) -> list[tuple[Path, int]]:
 class Faces(NamedTuple):
     """The faces of d = d^1 on the allowed n-paths, the same for every N.
 
-    Rows are every allowed (n-1)-path, then the non-allowed regular
-    paths reached, both lexicographically.  ``columns[c]`` lists the
-    (row, j) pairs of the c-th allowed n-path (``regular_faces``), so the
-    entry there is the unit zeta^j.
+    Rows are every allowed (n-1)-path, lexicographically, then the
+    non-allowed regular paths, numbered from ``allowed_rows`` on in order
+    of first reach.  ``columns[c]`` lists the (row, j) pairs of the c-th
+    allowed n-path (``regular_faces``), so the entry there is the unit
+    zeta^j.
     """
 
-    row_paths: tuple[Path, ...]
     allowed_rows: int
     columns: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -77,13 +77,11 @@ def faces(P: PathComplex, n: int) -> Faces:
     cached = P._memo.get(key)
     if cached is not None:
         return cached
-    allowed = P.paths(n - 1)
-    index = {p: i for i, p in enumerate(allowed)}
-    reached = [regular_faces(p) for p in P.paths(n)]
-    extras = sorted({f for col in reached for f, _ in col if f not in index})
-    index.update((f, len(allowed) + i) for i, f in enumerate(extras))
-    columns = tuple(tuple((index[f], j) for f, j in col) for col in reached)
-    cached = P._memo[key] = Faces(tuple(allowed) + tuple(extras), len(allowed), columns)
+    index = {p: i for i, p in enumerate(P.paths(n - 1))}
+    allowed = len(index)
+    columns = tuple(tuple((index.setdefault(f, len(index)), j) for f, j in regular_faces(p))
+                    for p in P.paths(n))
+    cached = P._memo[key] = Faces(allowed, columns)
     return cached
 
 

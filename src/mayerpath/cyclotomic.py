@@ -189,10 +189,6 @@ class Scalar:
         coeffs = (Fraction(value),) + (_F0,) * (phi - 1)
         return Scalar(order, coeffs)
 
-    @staticmethod
-    def zeta(order: int, k: int = 1) -> "Scalar":
-        return zeta_power(order, k)
-
     # -- ring/field structure ------------------------------------------
 
     def _check(self, other: "Scalar") -> None:

@@ -129,11 +129,12 @@ def omega_nq(P: PathComplex, n: int, q: int, N: int) -> OmegaSpace:
     return result
 
 
-def _ordinary_rows(P: PathComplex, m: int) -> list[list[int]]:
-    """The 0/1 non-allowed rows of d^1 on the allowed m-paths, m >= 2, as column lists.
+def _ordinary_rows(P: PathComplex, m: int) -> list[tuple[int, list[int]]]:
+    """The 0/1 non-allowed rows of d^1 on the allowed m-paths, m >= 2.
 
-    Scans the ``boundary.regular_faces`` of each path against the allowed
-    (m-1)-paths, so rows come in order of first reach.  Raises
+    Each row is its face's deletion position j, 0 < j < m, and its column
+    list.  Scans the ``boundary.regular_faces`` of each path against the
+    allowed (m-1)-paths, so rows come in order of first reach.  Raises
     ``InvariantViolation`` where a row would not be a unit times a 0/1 row
     (see the module docstring).
     """
@@ -151,7 +152,7 @@ def _ordinary_rows(P: PathComplex, m: int) -> list[list[int]]:
                     f"non-allowed face {f} is reached by deleting positions "
                     f"{position[f]} and {j}, so its row is not a unit times a 0/1 row")
             rows.setdefault(f, []).append(c)
-    return list(rows.values())
+    return [(position[f], cols) for f, cols in rows.items()]
 
 
 def _ordinary_omega(P: PathComplex, m: int) -> tuple[list[dict], tuple[int, ...]]:
@@ -163,7 +164,7 @@ def _ordinary_omega(P: PathComplex, m: int) -> tuple[list[dict], tuple[int, ...]
     key = ("ordinary_omega", m)
     cached = P._memo.get(key)
     if cached is None:
-        rows = _ordinary_rows(P, m)
+        rows = [cols for _, cols in _ordinary_rows(P, m)]
         live = [True] * len(P.paths(m))
         count = [len(r) for r in rows]
         rows_of: list[list[int]] = [[] for _ in live]

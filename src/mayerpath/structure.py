@@ -2,7 +2,8 @@
 
 Dimension 2 decomposes into double edges, triangles and squares; in
 dimension 3 every component of a minimal cluster carries one of nine
-face-type patterns (g1..g9), and minimal clusters are chains of
+face-type patterns (g1..g9), and minimal clusters, the simple cycles of
+a face graph with coefficients +-1 (``minimal_clusters``), are chains of
 g7-components capped by compatible endpoint types, plus the isolated
 patterns g8 and g9 and pure-g7 polygons.
 """
@@ -15,7 +16,7 @@ from itertools import combinations
 
 from .complexes import Path, PathComplex
 from .cyclotomic import Scalar, zeta_power
-from .linalg import InvariantViolation, Matrix, Subspace, nullspace
+from .linalg import Subspace
 from .omega import _ordinary_rows, omega_full, omega_nq
 
 
@@ -276,79 +277,136 @@ def _chain_shape(P: PathComplex, comps: list[Path], labels) -> str | None:
     return "-".join(f"g{l}" for l in seq)
 
 
+_GROUND = -1  # the face-graph node of every allowed or irregular face
+
+
+def _face_graphs(P: PathComplex) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    """The face graph of each endpoint pair (see ``minimal_clusters``).
+
+    One (column, tail, head) edge per allowed 3-path, columns ascending:
+    the tail is the row of its j = 2 face, the head the row of its j = 1
+    face, each ``_GROUND`` where that face is allowed or irregular.
+    """
+    paths = P.paths(3)
+    tail = [_GROUND] * len(paths)
+    head = [_GROUND] * len(paths)
+    for r, (j, cols) in enumerate(_ordinary_rows(P, 3)):
+        ends = tail if j == 2 else head
+        for c in cols:
+            ends[c] = r
+    graphs: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for c, p in enumerate(paths):
+        graphs.setdefault((p[0], p[-1]), []).append((c, tail[c], head[c]))
+    return graphs
+
+
+def _is_forest(edges: list[tuple[int, int, int]]) -> bool:
+    """Is the graph of the (column, tail, head) edges free of cycles?  A union-find."""
+    root: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while x in root:
+            x = root[x]
+        return x
+
+    for _, t, h in edges:
+        a, b = find(t), find(h)
+        if a == b:
+            return False
+        root[a] = b
+    return True
+
+
+def _simple_cycles(edges: list[tuple[int, int, int]], bound: int) -> list[list[tuple[int, int]]]:
+    """The simple cycles of at most ``bound`` edges, each as (column, +-1) pairs in walk order.
+
+    Each cycle is found once, from its least edge c0: run c0 from tail to
+    head, then walk back to the tail along edges above c0 through nodes
+    not yet on the walk.  An edge run from tail to head gets +1, one run
+    against its direction -1, so c0 gets +1.  A loop is a cycle alone.
+    """
+    adjacent: dict[int, list[tuple[int, int, int]]] = {}
+    for c, t, h in edges:
+        if t != h:
+            adjacent.setdefault(t, []).append((c, h, 1))
+            adjacent.setdefault(h, []).append((c, t, -1))
+    cycles = []
+    for c0, t, h in edges:
+        if t == h:
+            cycles.append([(c0, 1)])
+            continue
+        stack = [(h, [(c0, 1)], {t, h})] if bound > 1 else []
+        while stack:
+            node, walk, on_walk = stack.pop()
+            for c, other, sign in adjacent[node]:
+                if c <= c0:
+                    continue
+                if other == t:
+                    cycles.append(walk + [(c, sign)])
+                elif other not in on_walk and len(walk) + 1 < bound:  # room to close
+                    stack.append((other, walk + [(c, sign)], on_walk | {other}))
+    return cycles
+
+
 def minimal_clusters(P: PathComplex, N: int, circuit_bound: int = 8) -> ClusterSearch:
     """Minimal-support invariant elements of the level-(N,1) space in dim 3.
 
-    Elements split by endpoint pair; within one cluster the minimal
-    supports are the circuits of the constraint system, found by
-    increasing-support search with superset pruning.  Endpoint pairs
-    where the support bound is exceeded are reported, never silently
-    truncated.  The constraints are the non-allowed rows of d^1, each a
-    unit zeta^j times a 0/1 row (``omega._ordinary_rows``), so the search
-    runs over Q: unit-scaled rows have the same kernels and the same
-    canonical kernel vectors, whose rational coefficients are embedded in
-    Q(zeta_N) at the end.
+    The space is the kernel of the non-allowed rows of d^1, each a unit
+    times a 0/1 row (``omega._ordinary_rows``).  A non-allowed face of a
+    3-path ijkl drops an interior vertex, ikl at j = 1 or ijl at j = 2,
+    and each face is reached from one position only.  So per endpoint
+    pair the rows describe a face graph (``_face_graphs``): the
+    non-allowed faces and one ground node, and each 3-path an edge from
+    its j = 2 face to its j = 1 face, ground standing in for an allowed
+    or irregular face.  Negating the j = 1 rows, which moves no kernel,
+    makes the rows its incidence matrix with the ground row deleted, +1
+    at the tail and -1 at the head: totally unimodular (Schrijver, Theory
+    of Linear and Integer Programming, 1986), with the flows conserved
+    at every node but ground as its kernel.  Its circuits, the minimal
+    supports, are the simple cycles:
+
+    * the +-1 traversal of a simple cycle (+1 on an edge run from tail
+      to head, -1 against it) is conserved at every node;
+    * a forest carries no nonzero flow: a tree with an edge has two
+      leaves, one off ground, where conservation puts 0 on the one edge;
+    * so a minimal support is a simple cycle's edge set, and its flows
+      are multiples of the traversal: a second one could be combined to
+      vanish on an edge, leaving a flow on a forest.
+
+    So the clusters are the simple cycles, with coefficients +-1 set to
+    +1 at the least column, and the kernel dimension is the circuit rank
+    |E| - |V| + components.  A g7 component (both interior faces
+    non-allowed) joins two faces and g1..g6 join a face to ground, so a
+    loop is g8 or g9 alone (T6, T5), a cycle through ground is a chain
+    gi-(g7)^m-gj (T1..T3) and a cycle that misses ground a pure-g7
+    polygon (T4); irregular faces give cycles without a family.
+
+    Clusters come by endpoint pair, then by (size, columns), cycles of at
+    most ``circuit_bound`` edges.  A pair with more 3-paths than that
+    whose face graph is not a forest may hide a longer cycle; it is
+    reported in ``truncated``, never silently cut.
     """
     if circuit_bound < 1:
         raise ValueError("circuit_bound must be >= 1")
     paths = P.paths(3)
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for idx, p in enumerate(paths):
-        by_pair.setdefault((p[0], p[-1]), []).append(idx)
-
-    # A non-allowed face of a 3-path drops an interior vertex, so the
-    # columns of its row share one endpoint pair.
-    pos = {c: i for col_idx in by_pair.values() for i, c in enumerate(col_idx)}
-    one = Scalar.one(1)
-    rows_of: dict[tuple[int, int], list[dict[int, Scalar]]] = {}
-    for row in _ordinary_rows(P, 3):
-        p = paths[row[0]]
-        rows_of.setdefault((p[0], p[-1]), []).append({pos[c]: one for c in row})
+    units = {1: Scalar.one(N), -1: -Scalar.one(N)}
     clusters: list[ClusterReport] = []
     truncated: list[tuple[int, int]] = []
-
-    for pair, col_idx in sorted(by_pair.items()):
-        sub_rows = rows_of.get(pair, [])
-        # quick exit when the whole cluster contributes nothing
-        cluster_space = nullspace(Matrix.from_row_dicts(sub_rows, len(col_idx), 1))
-        if cluster_space.dim == 0:
-            continue
-
-        found: list[set[int]] = []
-        support_limit = min(circuit_bound, len(col_idx))
-        if len(col_idx) > circuit_bound:
+    for pair, edges in sorted(_face_graphs(P).items()):
+        if len(edges) > circuit_bound and not _is_forest(edges):
             truncated.append(pair)
-        for size in range(1, support_limit + 1):
-            for subset in combinations(range(len(col_idx)), size):
-                sset = set(subset)
-                if any(f <= sset for f in found):
-                    continue
-                remap = {c: i for i, c in enumerate(subset)}
-                local_rows = []
-                for row in sub_rows:
-                    r = {remap[c]: v for c, v in row.items() if c in remap}
-                    if r:
-                        local_rows.append(r)
-                space = nullspace(Matrix.from_row_dicts(local_rows, size, 1))
-                if space.dim == 0:
-                    continue
-                if space.dim != 1:
-                    raise InvariantViolation("minimal support cannot carry dim > 1")
-                vec = space.basis[0]
-                if len(vec) != size:
-                    continue  # support is a proper subset; smaller circuit pending
-                found.append(sset)
-                comps = [paths[col_idx[i]] for i in subset]
-                labels = tuple(gamma_label(P, c) for c in comps)
-                components = tuple((c, Scalar.from_rational(N, vec[i].coeffs[0]))
-                                   for i, c in enumerate(comps))
-                clusters.append(ClusterReport(
-                    endpoints=pair,
-                    components=components,
-                    labels=labels,
-                    family=_family_of(labels),
-                    chain=_chain_shape(P, comps, labels),
-                ))
+        cycles = sorted(map(sorted, _simple_cycles(edges, circuit_bound)),
+                        key=lambda cycle: (len(cycle), [c for c, _ in cycle]))
+        for cycle in cycles:
+            comps = [paths[c] for c, _ in cycle]
+            labels = tuple(gamma_label(P, p) for p in comps)
+            clusters.append(ClusterReport(
+                endpoints=pair,
+                components=tuple((paths[c], units[sign]) for c, sign in cycle),
+                labels=labels,
+                family=_family_of(labels),
+                chain=_chain_shape(P, comps, labels),
+            ))
     return ClusterSearch(clusters, truncated)
 
 

@@ -303,6 +303,86 @@ def test_minimal_clusters_equal_the_cyclotomic_reference():
     assert seen["clusters"] and seen["truncated"], seen
 
 
+def _components(edges):
+    """Connected components of the (column, tail, head) face graph, ground included."""
+    adjacent = {structure._GROUND: set()}
+    for _, t, h in edges:
+        adjacent.setdefault(t, set()).add(h)
+        adjacent.setdefault(h, set()).add(t)
+    seen, count = set(), 0
+    for start in adjacent:
+        if start in seen:
+            continue
+        count += 1
+        frontier = [start]
+        seen.add(start)
+        while frontier:
+            node = frontier.pop()
+            for other in adjacent[node] - seen:
+                seen.add(other)
+                frontier.append(other)
+    return len(adjacent), count
+
+
+def test_level_one_kernel_dimension_is_the_face_graph_circuit_rank():
+    """Fixtures and seeded digraphs with antiparallel pairs, N = 2..5, per endpoint pair.
+
+    The kernel of the reference's non-allowed d^1 rows on the pair's
+    columns has dimension |E| - |V| + components of its face graph, and
+    every cluster coefficient is +-1, +1 at the least column.  The dense
+    digraphs reach circuit ranks up to 11.
+    """
+    from conftest import antiparallel_complexes, random_digraph
+
+    rng = random.Random(1723)
+    complexes = [load_fixture(name) for name in DIGRAPH_FIXTURES]
+    complexes += [P for _, P in antiparallel_complexes(rng, 30, 3, 200)]
+    while len(complexes) < len(DIGRAPH_FIXTURES) + 40:
+        P = path_complex_from_digraph(random_digraph(rng, 5, 7, p=0.5, allow_antiparallel=True), 3)
+        if sum(len(P.paths(n)) for n in range(4)) <= 400:
+            complexes.append(P)
+    seen = {"pairs": 0, "cyclic": 0, "clusters": 0, "negative": 0}
+    for P in complexes:
+        graphs = structure._face_graphs(P)
+        for N in range(2, 6):
+            rows = boundary_reference(P, 3, 1, N).nonallowed_block().row_dicts()
+            for edges in graphs.values():
+                pos = {c: i for i, (c, _, _) in enumerate(edges)}
+                local = [{pos[c]: v for c, v in row.items() if c in pos} for row in rows]
+                kernel = nullspace(Matrix.from_row_dicts([r for r in local if r], len(pos), N))
+                nodes, components = _components(edges)
+                assert kernel.dim == len(edges) - nodes + components, (P.digest(), N, edges)
+                seen["pairs"] += 1
+                seen["cyclic"] += kernel.dim > 0
+            one = Scalar.one(N)
+            for cluster in minimal_clusters(P, N).clusters:
+                coeffs = [c for _, c in cluster.components]
+                assert coeffs[0] == one and all(c in (one, -one) for c in coeffs), cluster
+                seen["clusters"] += 1
+                seen["negative"] += -one in coeffs
+    assert all(seen.values()), seen
+
+
+def test_a_large_bound_finishes_and_equals_the_reference():
+    # the fully crossed three-layer channel 1 -> {2,3,4} -> {5,6,7} -> 8
+    # has the face graph K_{3,3}: nine 4-cycles and six 6-cycles
+    crossed = parse_digraph("\n".join(
+        ["1 2", "1 3", "1 4"] + [f"{a} {b}" for a in (2, 3, 4) for b in (5, 6, 7)]
+        + ["5 8", "6 8", "7 8"]))
+    complexes = {"crossed": path_complex_from_digraph(crossed, 3)}
+    complexes.update((name, load_fixture(name)) for name in ("braid", "trapezohedron_m2"))
+    for name, P in complexes.items():
+        for N in (2, 3):
+            search = minimal_clusters(P, N, circuit_bound=50)
+            clusters, truncated = _reference_clusters(P, N, 50)
+            assert [(c.endpoints, c.components) for c in search.clusters] == clusters, name
+            assert search.truncated == truncated == [], name
+            assert clusters, name
+    P = complexes["crossed"]
+    assert [len(c.components) for c in minimal_clusters(P, 3, 50).clusters] == [4] * 9 + [6] * 6
+    assert minimal_clusters(P, 3, 5).truncated == [interned(P, "1", "8")]
+
+
 def test_special_edges_examples(diamond):
     se = special_edges(diamond)
     assert se["connecting"] == [interned(diamond, "1", "4")]
