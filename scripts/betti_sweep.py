@@ -24,7 +24,9 @@ the engine and the oracle alike:
     python3 scripts/betti_sweep.py --root ../parent > before.txt
     diff before.txt after.txt
 
-A tally of tables and refusals goes to stderr.
+A tally of tables and refusals goes to stderr.  Where the table's digest
+differs from its ``oracle=`` digest (refusals included, ``-`` skipped)
+the case is named on stderr and the sweep exits 2, after every case ran.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def main() -> int:
 
     if Path(mayerpath.__file__).resolve().parent != src / "mayerpath":
         raise SystemExit(f"error: imported mayerpath from {mayerpath.__file__}")
-    refused = oracle_cases = oracle_refused = 0
+    refused = oracle_cases = oracle_refused = disagreements = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.json"
         for i in range(COUNT):
@@ -120,6 +122,9 @@ def main() -> int:
                 oracle = table_digest(brute_force_oracle, P, N, ImageEscapesAllowed)
                 oracle_cases += 1
                 oracle_refused += oracle == "refused"
+                if oracle != result:
+                    disagreements += 1
+                    print(f"case {i}: table {result} but oracle {oracle}", file=sys.stderr)
             path.write_text(json.dumps(g.to_json()), encoding="utf-8")
             common = ["--input", str(path), "--N", str(N)]
             digests = " ".join(
@@ -130,7 +135,7 @@ def main() -> int:
                   f"oracle={oracle} {digests}", flush=True)
     print(f"{COUNT} cases; {COUNT - refused} tables, {refused} refused; oracle on "
           f"{oracle_cases} cases, {oracle_refused} refused", file=sys.stderr)
-    return 0
+    return 2 if disagreements else 0
 
 
 if __name__ == "__main__":

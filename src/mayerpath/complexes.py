@@ -29,14 +29,14 @@ class MalformedLine(ComplexError):
 
 
 class SelfLoop(ComplexError):
-    def __init__(self, lineno: int, label: str):
-        super().__init__(f"line {lineno}: self-loop at vertex {label!r}")
+    def __init__(self, lineno: int, label: str, unit: str = "line"):
+        super().__init__(f"{unit} {lineno}: self-loop at vertex {label!r}")
         self.lineno = lineno
 
 
 class DuplicateEdge(ComplexError):
-    def __init__(self, lineno: int, u: str, v: str):
-        super().__init__(f"line {lineno}: duplicate edge {u!r} -> {v!r}")
+    def __init__(self, lineno: int, u: str, v: str, unit: str = "line"):
+        super().__init__(f"{unit} {lineno}: duplicate edge {u!r} -> {v!r}")
         self.lineno = lineno
 
 
@@ -92,30 +92,40 @@ def _tokenized_lines(text: str):
         yield lineno, line.split()
 
 
+def _build_digraph(vertices, edges, unit: str) -> Digraph:
+    """Digraph from vertex labels and (position, u, v) edge labels, read in order.
+
+    Labels are interned in order of first appearance, the vertices first.
+    A self-loop or a repeated edge raises ``SelfLoop`` or ``DuplicateEdge``
+    at its position, counted in ``unit``s (text lines or JSON edges).
+    Both inputs may be generators that raise their own errors as they go.
+    """
+    index: dict[str, int] = {}
+    for label in vertices:
+        index.setdefault(label, len(index))
+    out: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for position, u, v in edges:
+        if u == v:
+            raise SelfLoop(position, u, unit)
+        e = (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+        if e in seen:
+            raise DuplicateEdge(position, u, v, unit)
+        seen.add(e)
+        out.append(e)
+    return Digraph(tuple(index), tuple(out))
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse whitespace-separated "u v" edge lines; '#' starts a comment."""
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
 
-    def intern(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
+    def edges():
+        for lineno, tokens in _tokenized_lines(text):
+            if len(tokens) != 2:
+                raise MalformedLine(lineno, " ".join(tokens))
+            yield lineno, tokens[0], tokens[1]
 
-    for lineno, tokens in _tokenized_lines(text):
-        if len(tokens) != 2:
-            raise MalformedLine(lineno, " ".join(tokens))
-        if tokens[0] == tokens[1]:
-            raise SelfLoop(lineno, tokens[0])
-        u, v = intern(tokens[0]), intern(tokens[1])
-        if (u, v) in seen:
-            raise DuplicateEdge(lineno, tokens[0], tokens[1])
-        seen.add((u, v))
-        edges.append((u, v))
-    return Digraph(tuple(labels), tuple(edges))
+    return _build_digraph((), edges(), "line")
 
 
 def _json_label(value, where: str) -> str:
@@ -131,31 +141,15 @@ def digraph_from_json(data: dict) -> Digraph:
     vertices, edge_list = data.get("vertices", []), data["edges"]
     if not isinstance(vertices, list) or not isinstance(edge_list, list):
         raise ComplexError("'vertices' and 'edges' must be JSON lists")
-    labels: list[str] = []
-    index: dict[str, int] = {}
 
-    def intern(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
+    def edges():
+        for i, pair in enumerate(edge_list, start=1):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ComplexError(f"edge {i}: expected a [source, target] pair, got {pair!r}")
+            yield (i, *(_json_label(x, f"edge {i}") for x in pair))
 
-    for i, v in enumerate(vertices, start=1):
-        intern(_json_label(v, f"vertex {i}"))
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for i, pair in enumerate(edge_list, start=1):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ComplexError(f"edge {i}: expected a [source, target] pair, got {pair!r}")
-        u, v = (_json_label(x, f"edge {i}") for x in pair)
-        if u == v:
-            raise SelfLoop(i, u)
-        e = (intern(u), intern(v))
-        if e in seen:
-            raise DuplicateEdge(i, u, v)
-        seen.add(e)
-        edges.append(e)
-    return Digraph(tuple(labels), tuple(edges))
+    labels = (_json_label(v, f"vertex {i}") for i, v in enumerate(vertices, start=1))
+    return _build_digraph(labels, edges(), "edge")
 
 
 def simplices_from_json(simplices) -> list[tuple[str, ...]]:
@@ -177,8 +171,6 @@ def parse_simplices(text: str) -> list[tuple[str, ...]]:
     """Each non-comment line is one maximal simplex of vertex labels."""
     simplices = []
     for lineno, tokens in _tokenized_lines(text):
-        if not tokens:
-            raise EmptySimplex(f"line {lineno}: empty simplex")
         if len(set(tokens)) != len(tokens):
             raise MalformedLine(lineno, " ".join(tokens))
         simplices.append(tuple(tokens))
@@ -236,10 +228,8 @@ class PathComplex:
         pc = cls(tuple(vertices), "simplicial",
                  {"simplices": sorted({tuple(sorted(index[v] for v in s))
                                        for s in maximal_simplices})})
-        top = max(by_dim)
-        for n in range(top + 1):
+        for n in range(max(by_dim) + 1):
             pc._dims[n] = tuple(sorted(by_dim.get(n, ())))
-        pc._payload["top_dim"] = top
         return pc
 
     # -- enumeration ------------------------------------------------------

@@ -202,6 +202,9 @@ def merge_element(I: UndirectedCycle, J: UndirectedCycle, N: int) -> WeightedCha
     The cycles must intersect.  Weights follow the per-path recursion;
     the junction balance equations pin down the free path weights, which
     is solvable precisely because neither cycle is admissible on its own.
+    A junction system has 2 rows and 3 columns (a shared run) or 1 row
+    and 2 columns (a shared vertex), so by rank-nullity its kernel is
+    never zero.
     """
     if is_admissible(I, N) or is_admissible(J, N):
         raise NotApplicable("merge applies to two non-admissible cycles")
@@ -224,10 +227,7 @@ def merge_element(I: UndirectedCycle, J: UndirectedCycle, N: int) -> WeightedCha
             {0: x1, 1: x2s * r2, 2: x3s * r3},
             {0: x1s * r1, 1: x2, 2: x3},
         ]
-        sol_space = nullspace(Matrix.from_row_dicts(rows, 3, N))
-        if sol_space.dim == 0:
-            raise NotApplicable("junction system has no nonzero solution")
-        w = sol_space.basis[0]
+        w = nullspace(Matrix.from_row_dicts(rows, 3, N)).basis[0]
         weights = (w.get(0), w.get(1), w.get(2))
     else:
         v = min(shared_vertices)
@@ -237,10 +237,7 @@ def merge_element(I: UndirectedCycle, J: UndirectedCycle, N: int) -> WeightedCha
         (x2, x2s, r2) = _path_transfer(p2, N)
         (x3, x3s, r3) = _path_transfer(p3, N)
         rows = [{0: x2 + x2s * r2, 1: x3 + x3s * r3}]
-        sol_space = nullspace(Matrix.from_row_dicts(rows, 2, N))
-        if sol_space.dim == 0:
-            raise NotApplicable("junction system has no nonzero solution")
-        w = sol_space.basis[0]
+        w = nullspace(Matrix.from_row_dicts(rows, 2, N)).basis[0]
         weights = (None, w.get(0), w.get(1))
 
     chain: WeightedChain = {}
@@ -278,19 +275,25 @@ class Z1Result:
         return self.shortfall == 0
 
 
-def _spanning_forest(g: Digraph) -> tuple[set[Edge], dict[int, list[tuple[int, Edge]]]]:
-    """Deterministic BFS forest of the underlying multigraph."""
-    adjacency: dict[int, list[tuple[int, Edge]]] = {v: [] for v in range(g.n)}
-    for e in g.edges:
-        u, v = e
-        adjacency[u].append((v, e))
-        adjacency[v].append((u, e))
+def _spanning_forest(nodes, edges) -> tuple[set[tuple], dict[int, tuple[int, tuple]]]:
+    """Deterministic BFS forest of the multigraph whose edge e joins e[0] and e[1].
+
+    Roots come in the order of ``nodes`` and neighbours in (node, edge)
+    order.  A loop or a second parallel edge never enters the tree, so it
+    has |nodes| - components edges, as many as the graph exactly when the
+    graph has no cycle.  Returns the tree edges and each non-root node's
+    (parent, edge).
+    """
+    adjacency: dict[int, list[tuple[int, tuple]]] = {v: [] for v in nodes}
+    for e in edges:
+        adjacency[e[0]].append((e[1], e))
+        adjacency[e[1]].append((e[0], e))
     for v in adjacency:
         adjacency[v].sort()
-    tree: set[Edge] = set()
+    tree: set[tuple] = set()
     seen: set[int] = set()
-    parent: dict[int, tuple[int, Edge]] = {}
-    for root in range(g.n):
+    parent: dict[int, tuple[int, tuple]] = {}
+    for root in adjacency:
         if root in seen:
             continue
         seen.add(root)
@@ -332,7 +335,7 @@ def fundamental_cycles(g: Digraph) -> list[UndirectedCycle]:
     Antiparallel edge pairs count as parallel edges of the multigraph, so
     the second edge of such a pair yields a two-step cycle.
     """
-    tree, parent = _spanning_forest(g)
+    tree, parent = _spanning_forest(range(g.n), g.edges)
     cycles = []
     for e in g.edges:
         if e in tree:

@@ -50,42 +50,28 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        lead = num[k + len(den) - 1]
-        if lead % den[-1] != 0:
-            raise ArithmeticError("non-exact integer polynomial division")
-        c = lead // den[-1]
-        quot[k] = c
-        for i, d in enumerate(den):
-            num[k + i] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending degree.
 
-    Computed by dividing x^n - 1 by the product of Phi_d over proper
-    divisors d of n.  Total for every n >= 1.
+    Computed by dividing x^n - 1 by Phi_d for each proper divisor d of n
+    (``_poly_divmod``); every division is exact and the quotient integral,
+    or ``ArithmeticError`` is raised.  Total for every n >= 1.
     """
     if n < 1:
         raise ValueError("cyclotomic_polynomial requires n >= 1")
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    num = [_F0] * (n + 1)
+    num[0], num[n] = -_F1, _F1
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
-            if any(rem[i] != 0 for i in range(len(rem))):
+            num, rem = _poly_divmod(num, [Fraction(c) for c in cyclotomic_polynomial(d)])
+            if any(rem):
                 raise ArithmeticError("cyclotomic division left a remainder")
-    return tuple(num)
+    if any(c.denominator != 1 for c in num):
+        raise ArithmeticError("cyclotomic quotient is not integral")
+    return tuple(int(c) for c in num)
 
 
 @lru_cache(maxsize=None)

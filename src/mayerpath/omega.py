@@ -255,15 +255,11 @@ def _level(P: PathComplex, m: int, j: int, N: int) -> Subspace:
         else:
             space = _level(P, m, j - 1, N)
             if space.dim:
-                chain, scales = _integer_basis(P, m, j - 1, N)
-                for s in range(1, j + 1):
-                    chain, escaped = apply_regular_power(P, m - s + 1, N, chain)
-                    if escaped and s < j:
-                        raise InvariantViolation(
-                            f"d^{s} of a level-{j - 1} {m}-chain left the allowed span")
+                powers, _ = _powers(P, m, j - 1, N)
                 allowed = faces(P, m - j + 1).allowed_rows
-                escapes = [{r: t for r, t in y.items() if r >= allowed} for y in chain]
-                space = _kernel_within(space, _in_field(escapes, scales, N))
+                escapes = [{r: t for r, t in y.items() if r >= allowed} for y in powers[-1]]
+                space = _kernel_within(
+                    space, _in_field(escapes, _integer_basis(P, m, j - 1, N)[1], N))
         P._memo[key] = space
     return space
 
@@ -364,32 +360,43 @@ def apply_regular_power(P: PathComplex, n: int, N: int,
     return images, any(y and max(y) >= table.allowed_rows for y in images)
 
 
+def _powers(P: PathComplex, m: int, j: int, N: int) -> tuple[list[list[IntRow]], bool]:
+    """d^1 .. d^(j+1) of the integer Omega^(j)_m basis, and whether d^(j+1) left the allowed span.
+
+    Entry s-1 holds the images d^s x over Z[zeta_N], in basis order, each
+    one d^1 application (``apply_regular_power``) to the one before.  On
+    level j the powers up to d^j are allowed by definition; one that is
+    not raises ``InvariantViolation``.
+    """
+    chain = _integer_basis(P, m, j, N)[0]
+    powers: list[list[IntRow]] = []
+    escaped = False
+    for s in range(1, j + 2):
+        if escaped:
+            raise InvariantViolation(
+                f"d^{s - 1} of a level-{j} {m}-chain left the allowed span")
+        chain, escaped = apply_regular_power(P, m - s + 1, N, chain)
+        powers.append(chain)
+    return powers, escaped
+
+
 def _images(P: PathComplex, m: int, N: int) -> list[list[IntRow]]:
     """d^r x for r = 1 .. N-1 over the integer Omega_m^N basis rows x, made once per (m, N).
 
     Entry r-1 holds the images d^r x, as sparse Z[zeta_N] rows over the
     allowed (m-r)-paths, in basis order; each is one d^1 application to
-    the one before.  An image that leaves the allowed span raises
-    ``InvariantViolation``: by ``homology.betti`` none can.  One more
-    application gives d^N x, whose record (``_nth_power_record``) is kept
-    for m >= N.
+    the one before (``_powers``).  An image that leaves the allowed span
+    raises ``InvariantViolation``: by ``homology.betti`` none can.  One
+    more application gives d^N x, whose record (``_nth_power_record``) is
+    kept for m >= N.
     """
     key = ("images", m, N)
     images = P._memo.get(key)
     if images is None:
-        images = []
-        chain = _integer_basis(P, m, N - 1, N)[0]
-        for r in range(1, N + 1):
-            chain, escaped = apply_regular_power(P, m - r + 1, N, chain)
-            if r == N:
-                break
-            if escaped:
-                raise InvariantViolation(
-                    f"d^{r} of an invariant {m}-chain left the allowed span")
-            images.append(chain)
-        P._memo[key] = images
+        powers, escaped = _powers(P, m, N - 1, N)
+        images = P._memo[key] = powers[:-1]
         if m >= N:
-            P._memo[("nth_power", m, N)] = _NthPower(not any(chain), not escaped)
+            P._memo[("nth_power", m, N)] = _NthPower(not any(powers[-1]), not escaped)
     return images
 
 

@@ -15,6 +15,7 @@ from enum import Enum
 from itertools import combinations
 
 from .complexes import Path, PathComplex
+from .cycles import _spanning_forest
 from .cyclotomic import Scalar, zeta_power
 from .linalg import Subspace
 from .omega import _ordinary_rows, omega_full, omega_nq
@@ -56,7 +57,9 @@ def face_type(P: PathComplex, f: Path) -> FaceType:
     """Classify a 2-path face by its endpoints' connectivity.
 
     Priority: non-allowed beats everything; then a shortcut edge (T),
-    then an alternative allowed middle (S), else W.
+    then an alternative allowed middle (S), else W.  An irregular face,
+    one with a repeated vertex, is never allowed (there are no
+    self-loops), so it is NW.
     """
     if len(f) != 3:
         raise ValueError("face classification applies to 2-paths")
@@ -91,14 +94,8 @@ def image_type(P: PathComplex, v: Path) -> tuple[FaceType, FaceType, FaceType, F
     if len(v) != 4:
         raise ValueError("image type applies to 3-paths")
     i, j, k, l = v
-
-    def classify(face: Path) -> FaceType:
-        if any(face[t] == face[t + 1] for t in range(2)):
-            return FaceType.NW  # irregular faces are never allowed
-        return face_type(P, face)
-
-    return (classify((j, k, l)), classify((i, k, l)),
-            classify((i, j, l)), classify((i, j, k)))
+    return (face_type(P, (j, k, l)), face_type(P, (i, k, l)),
+            face_type(P, (i, j, l)), face_type(P, (i, j, k)))
 
 
 def gamma_label(P: PathComplex, v: Path) -> int | None:
@@ -239,12 +236,8 @@ def _family_of(labels: tuple[int | None, ...]) -> str | None:
 
 
 def _nw_faces(P: PathComplex, v: Path) -> set[Path]:
-    faces = {(v[0], v[2], v[3]), (v[0], v[1], v[3])}
-    out = set()
-    for f in faces:
-        if any(f[t] == f[t + 1] for t in range(2)) or not P.is_allowed(f):
-            out.add(f)
-    return out
+    """The non-allowed interior faces of a 3-path, irregular ones included."""
+    return {f for f in ((v[0], v[2], v[3]), (v[0], v[1], v[3])) if not P.is_allowed(f)}
 
 
 def _chain_shape(P: PathComplex, comps: list[Path], labels) -> str | None:
@@ -298,23 +291,6 @@ def _face_graphs(P: PathComplex) -> dict[tuple[int, int], list[tuple[int, int, i
     for c, p in enumerate(paths):
         graphs.setdefault((p[0], p[-1]), []).append((c, tail[c], head[c]))
     return graphs
-
-
-def _is_forest(edges: list[tuple[int, int, int]]) -> bool:
-    """Is the graph of the (column, tail, head) edges free of cycles?  A union-find."""
-    root: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while x in root:
-            x = root[x]
-        return x
-
-    for _, t, h in edges:
-        a, b = find(t), find(h)
-        if a == b:
-            return False
-        root[a] = b
-    return True
 
 
 def _simple_cycles(edges: list[tuple[int, int, int]], bound: int) -> list[list[tuple[int, int]]]:
@@ -383,8 +359,9 @@ def minimal_clusters(P: PathComplex, N: int, circuit_bound: int = 8) -> ClusterS
 
     Clusters come by endpoint pair, then by (size, columns), cycles of at
     most ``circuit_bound`` edges.  A pair with more 3-paths than that
-    whose face graph is not a forest may hide a longer cycle; it is
-    reported in ``truncated``, never silently cut.
+    whose face graph is not a forest (its ``cycles._spanning_forest`` has
+    fewer edges than the graph) may hide a longer cycle; it is reported
+    in ``truncated``, never silently cut.
     """
     if circuit_bound < 1:
         raise ValueError("circuit_bound must be >= 1")
@@ -393,8 +370,11 @@ def minimal_clusters(P: PathComplex, N: int, circuit_bound: int = 8) -> ClusterS
     clusters: list[ClusterReport] = []
     truncated: list[tuple[int, int]] = []
     for pair, edges in sorted(_face_graphs(P).items()):
-        if len(edges) > circuit_bound and not _is_forest(edges):
-            truncated.append(pair)
+        if len(edges) > circuit_bound:
+            tree, _ = _spanning_forest({n for _, t, h in edges for n in (t, h)},
+                                       [(t, h, c) for c, t, h in edges])
+            if len(tree) < len(edges):  # a cycle, perhaps longer than the bound
+                truncated.append(pair)
         cycles = sorted(map(sorted, _simple_cycles(edges, circuit_bound)),
                         key=lambda cycle: (len(cycle), [c for c, _ in cycle]))
         for cycle in cycles:

@@ -148,6 +148,8 @@ def test_negative_max_dim_exits_one(capsys, fixture_file):
     ('{"simplices": [[1, 2], [1, "1"]]}', "simplex ['1', '1'] repeats a vertex"),
     ('{"edges": [[1, [2]]]}', "edge 1: vertex label [2] is not"),
     ('{"edges": [[1, 2], [2, {"x": 1}]]}', 'edge 2: vertex label {"x": 1} is not'),
+    ('{"edges": [["a", "b"], ["c", "c"]]}', "edge 2: self-loop at vertex 'c'"),
+    ('{"edges": [["a", "b"], ["b", "c"], ["a", "b"]]}', "edge 3: duplicate edge 'a' -> 'b'"),
     ('{"edges": [[true, 2]]}', "edge 1: vertex label true is not"),
     ('{"vertices": [1, null], "edges": []}', "vertex 2: vertex label null is not"),
     ('{"edges": [[1, 2.5]]}', "edge 1: vertex label 2.5 is not"),

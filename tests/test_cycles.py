@@ -7,6 +7,7 @@ from mayerpath.complexes import parse_digraph, path_complex_from_digraph
 from mayerpath.cycles import (
     NotAdmissible,
     NotApplicable,
+    _spanning_forest,
     admissible_weights,
     fundamental_cycles,
     is_admissible,
@@ -255,3 +256,13 @@ def test_fundamental_cycle_count_matches_circuit_rank():
             for s in c.steps:
                 assert s.edge in g.edge_set
                 assert (s.edge == (s.tail, s.head)) is s.aligned
+
+
+def test_spanning_forest_of_a_multigraph_skips_loops_and_parallel_edges():
+    # components {0, 1, 2} and {3, 4}, a loop at 2 and two parallel 0-1 edges:
+    # the tree has |V| - components edges, neither the loop nor the second 0-1 edge
+    edges = [(0, 1, "a"), (0, 1, "b"), (1, 2, "c"), (2, 2, "loop"), (4, 3, "d")]
+    tree, parent = _spanning_forest(range(5), edges)
+    assert len(tree) == 5 - 2
+    assert tree == {(0, 1, "a"), (1, 2, "c"), (4, 3, "d")}
+    assert parent == {1: (0, (0, 1, "a")), 2: (1, (1, 2, "c")), 4: (3, (4, 3, "d"))}
